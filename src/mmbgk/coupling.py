@@ -170,18 +170,23 @@ def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray,
     _check_weight_ratio(macro_new[:, 2], w_prior[:, 2])
     du = w_prior[:, 1] - macro_new[:, 1]
     dth = w_prior[:, 2] - macro_new[:, 2]
-    h = np.zeros((n, m))
-    h[:, 0] = 1.0
+    # moment-major (M, n): the convolution becomes one row shift per k
+    h = np.zeros((m, n))
+    h[0] = 1.0
     if m > 1:
-        h[:, 1] = du
+        h[1] = du
     for k in range(2, m):
-        h[:, k] = (du * h[:, k - 1] + dth * h[:, k - 2]) / k
-    fbar = w_prior.copy()
-    fbar[:, 1:3] = 0.0
+        h[k] = (du * h[k - 1] + dth * h[k - 2]) / k
+    fbar = w_prior.T.copy()
+    fbar[1:3] = 0.0
+    lo = max(first_free, 3)
+    acc = fbar[lo:].copy()  # the k = 0 term, h_0 = 1
+    for k in range(1, m):
+        s = max(lo, k)
+        acc[s - lo:] += h[k] * fbar[s - k:m - k]
     out = np.zeros_like(w_prior)
     out[:, :3] = macro_new
-    for b in range(max(first_free, 3), m):
-        out[:, b] = np.einsum("nk,nk->n", h[:, : b + 1], fbar[:, b::-1])
+    out[:, lo:] = acc.T
     return out
 
 

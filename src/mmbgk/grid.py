@@ -11,6 +11,11 @@ Lax-Friedrichs / Lax-Wendroff dissipation (FORCE average):
 
 Order 2 adds minmod-limited linear reconstruction and the in-cell
 non-conservative term A(w_i) sigma_i. Boundaries are copy-outflow.
+
+A(w) is never assembled: the step works on moment-major (M, n) copies of
+the cells and applies each model's flux_operator, which costs O(n M) per
+product. The dense system_matrices builders are kept as the test oracle and
+for spectra. Field.data stays cell-major (n, M).
 """
 
 from dataclasses import dataclass
@@ -73,50 +78,58 @@ def _minmod(a, b):
     return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
 
 
-def _apply(mats, vecs):
-    return np.einsum("nij,nj->ni", mats, vecs)
+def _ghosted(w, g):
+    """Moment-major (M, n + 2g) copy of the (n, M) cells with g copy-outflow
+    ghosts per side."""
+    n, m = w.shape
+    we = np.empty((m, n + 2 * g))
+    we[:, g:g + n] = w.T
+    we[:, :g] = w[:1].T
+    we[:, g + n:] = w[-1:].T
+    return we
 
 
 def spatial_update(f: Field, model, dt: float, order: int = 1) -> Field:
-    """One explicit transport step of size dt; copy-outflow ghosts; no source."""
+    """One explicit transport step of size dt; copy-outflow ghosts; no source.
+
+    model.flux_operator(w) takes moment-major states (M, n) and returns a
+    function mapping moment-major v to A(w) v.
+    """
     if order not in (1, 2):
         raise ConfigError(f"order must be 1 or 2, got {order}")
     w = f.data
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
         raise NumericError(f"non-finite state in cell {bad} at t={f.time}")
     dx = f.grid.dx
     speeds = model.wave_speeds(w)
     viol = dt * speeds > dx * (1.0 + 1e-12)
-    if np.any(viol):
+    if viol.any():
         bad = int(np.argmax(viol))
         raise StepError(
             f"CFL violation in cell {bad}: dt={dt:g} exceeds {dx / speeds[bad]:g}"
         )
     nu = dt / dx
+    we = _ghosted(w, order)
     if order == 1:
-        we = np.concatenate([w[:1], w, w[-1:]])
-        wl, wr = we[:-1], we[1:]
-        sig = None
+        wl, wr = we[:, :-1], we[:, 1:]
     else:
-        we = np.concatenate([w[:1], w[:1], w, w[-1:], w[-1:]])
-        d = np.diff(we, axis=0)
-        sig = _minmod(d[:-1], d[1:])  # slopes of cells we[1:-1]
-        cells = we[1:-1]
+        d = np.diff(we, axis=1)
+        sig = _minmod(d[:, :-1], d[:, 1:])  # slopes of cells we[:, 1:-1]
         # half-step predictor keeps the update second order in time
-        ev = cells - (0.5 * nu) * _apply(model.system_matrices(cells), sig)
-        wl = ev[:-1] + 0.5 * sig[:-1]
-        wr = ev[1:] - 0.5 * sig[1:]
+        ev = we[:, 1:-1] - (0.5 * nu) * model.flux_operator(we[:, 1:-1])(sig)
+        wl = ev[:, :-1] + 0.5 * sig[:, :-1]
+        wr = ev[:, 1:] - 0.5 * sig[:, 1:]
     delta = wr - wl
-    ahat = model.system_matrices(0.5 * (wl + wr))
-    ad = _apply(ahat, delta)
-    qd = 0.5 * (delta / nu + nu * _apply(ahat, ad))
+    ahat = model.flux_operator(0.5 * (wl + wr))
+    ad = ahat(delta)
+    qd = 0.5 * (delta / nu + nu * ahat(ad))
     dplus = 0.5 * (ad + qd)
     dminus = 0.5 * (ad - qd)
-    bracket = dplus[:-1] + dminus[1:]
+    bracket = dplus[:, :-1] + dminus[:, 1:]
     if order == 2:
-        bracket = bracket + _apply(model.system_matrices(ev[1:-1]), sig[1:-1])
-    new = w - nu * bracket
+        bracket = bracket + model.flux_operator(ev[:, 1:-1])(sig[:, 1:-1])
+    new = np.ascontiguousarray((we[:, order:-order] - nu * bracket).T)
     model.validate(new)
     return Field(f.grid, new, f.time + dt)
 

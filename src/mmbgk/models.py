@@ -5,6 +5,11 @@ w = (rho, u, theta, f_3, ..., f_{M-1}) and a state-dependent flux matrix;
 the fixed-basis (HSM) model carries raw Hermite coefficients and a constant
 symmetric tridiagonal matrix; the Euler model carries (rho, u, theta) in
 primitive form with no collision source.
+
+Transport uses each model's flux_operator: built once from a batch of
+moment-major states (M, n), it returns v -> A(w) v for moment-major v in
+O(n M) without forming A. The dense system_matrices builders are kept as
+the test oracle for those products and for spectra.
 """
 
 from functools import lru_cache
@@ -38,6 +43,11 @@ def _as_batch(w, n_vars_min):
     return w, squeeze
 
 
+def _check_rho_theta(rho, theta, kind):
+    if (rho <= 0.0).any() or (theta <= 0.0).any():
+        raise StateError(f"{kind} state needs rho > 0 and theta > 0")
+
+
 def hme_system_matrices(w) -> np.ndarray:
     """Flux matrices A(w) of the adaptive moment system, batched.
 
@@ -50,8 +60,7 @@ def hme_system_matrices(w) -> np.ndarray:
     w, squeeze = _as_batch(w, 4)
     n, m = w.shape
     rho, u, theta = w[:, 0], w[:, 1], w[:, 2]
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
-        raise StateError("hme state needs rho > 0 and theta > 0")
+    _check_rho_theta(rho, theta, "hme")
     # fbar folds the consistency constraints into the recurrence pattern
     fbar = np.zeros_like(w)
     fbar[:, 0] = rho
@@ -92,6 +101,60 @@ def hme_system_matrix(w) -> np.ndarray:
     return hme_system_matrices(w)
 
 
+def _euler_rows(out, v, rho, u, theta_rho, two_theta):
+    """Rows 0-2 of A v shared by the Euler and adaptive systems (row 2 without
+    the heat-flux column)."""
+    v0, v1, v2 = v[0], v[1], v[2]
+    out[0] = u * v0 + rho * v1
+    out[1] = theta_rho * v0 + u * v1 + v2
+    out[2] = two_theta * v1 + u * v2
+
+
+def hme_flux_operator(wt):
+    """v -> A(w) v for moment-major states wt of shape (M, n), matrix-free.
+
+    Rows 0-2 are the Euler rows plus the heat-flux column 6/rho on row 2.
+    Each row b >= 3 has the four dense columns 0-3 and a band: theta below
+    the diagonal (from column 4 on), u on it and b + 1 above it. The
+    coefficients are built once here and shared by every product.
+    """
+    wt = np.asarray(wt, dtype=float)
+    m = wt.shape[0]
+    if m < 4:
+        raise DomainError(f"state needs at least 4 entries, got {m}")
+    rho, u, theta = wt[0], wt[1], wt[2]
+    _check_rho_theta(rho, theta, "hme")
+    fbar = wt.copy()
+    fbar[1:3] = 0.0
+    theta_rho, two_theta, six_rho = theta / rho, 2.0 * theta, 6.0 / rho
+    b = np.arange(3.0, m)[:, None]
+    upper = b[:-1] + 1.0
+    # columns 0-3 of rows b = 3..M-1; the last row drops column 1 and
+    # takes -f_{M-2} in column 2 (hyperbolicity regularization)
+    c0 = fbar[2:m - 1] * -theta_rho
+    c1 = upper * fbar[3:m - 1]
+    c2 = (0.5 * b - 0.5) * fbar[2:m - 1]
+    c2 += (0.5 * theta) * fbar[:m - 3]
+    c2[-1] = -fbar[m - 2] + theta * fbar[m - 4] / 2.0
+    c3 = fbar[1:m - 2] * (-0.5 * six_rho)
+
+    def apply(v):
+        out = np.empty_like(v, dtype=float)
+        _euler_rows(out, v, rho, u, theta_rho, two_theta)
+        out[2] += six_rho * v[3]
+        tail = out[3:]
+        np.multiply(u, v[3:], out=tail)
+        tail += c0 * v[0]
+        tail[:-1] += c1 * v[1]
+        tail += c2 * v[2]
+        tail += c3 * v[3]
+        out[4:] += theta * v[3:-1]
+        tail[:-1] += upper * v[4:]
+        return out
+
+    return apply
+
+
 def hme_source(w, eps) -> np.ndarray:
     """-(1/eps) diag(0,0,0,1,...,1) w, the BGK term in adaptive variables."""
     if not eps > 0.0:
@@ -109,6 +172,22 @@ def hsm_system_matrix(m: int) -> np.ndarray:
         raise DomainError(f"need M >= 2, got {m}")
     off = np.sqrt(np.arange(1.0, m))
     return np.diag(off, 1) + np.diag(off, -1)
+
+
+def hsm_flux_operator(m: int):
+    """v -> A v for the constant tridiagonal fixed-basis matrix, moment-major v."""
+    if m < 2:
+        raise DomainError(f"need M >= 2, got {m}")
+    off = np.sqrt(np.arange(1.0, m))[:, None]
+
+    def apply(v):
+        out = np.empty_like(v, dtype=float)
+        np.multiply(off, v[1:], out=out[:-1])
+        out[-1] = 0.0
+        out[1:] += off * v[:-1]
+        return out
+
+    return apply
 
 
 def hsm_source(f, eps) -> np.ndarray:
@@ -129,8 +208,7 @@ def euler_system_matrix(w) -> np.ndarray:
     """3x3 flux matrix of the Euler system in primitive variables."""
     w = np.asarray(w, dtype=float)
     rho, u, theta = w[0], w[1], w[2]
-    if rho <= 0.0 or theta <= 0.0:
-        raise StateError("euler state needs rho > 0 and theta > 0")
+    _check_rho_theta(rho, theta, "euler")
     return np.array([[u, rho, 0.0], [theta / rho, u, 1.0], [0.0, 2.0 * theta, u]])
 
 
@@ -147,6 +225,9 @@ class HMEModel:
 
     def system_matrices(self, w):
         return hme_system_matrices(w)
+
+    def flux_operator(self, wt):
+        return hme_flux_operator(wt)
 
     def wave_speeds(self, w):
         """Per-cell bound |u| + sqrt(theta) r_M with r_M the largest He_M root."""
@@ -191,10 +272,10 @@ class HMEModel:
 
     def validate(self, w):
         w = np.atleast_2d(w)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
             raise StateError(f"non-finite state in cell {bad}")
-        if np.any(w[:, 0] <= 0.0) or np.any(w[:, 2] <= 0.0):
+        if (w[:, 0] <= 0.0).any() or (w[:, 2] <= 0.0).any():
             bad = int(np.argwhere((w[:, 0] <= 0.0) | (w[:, 2] <= 0.0))[0, 0])
             raise StateError(f"rho or theta <= 0 in cell {bad}")
 
@@ -210,12 +291,17 @@ class HSMModel:
         self.n_moments = n_moments
         self.n_vars = n_moments
         self._matrix = hsm_system_matrix(n_moments)
+        self._apply = hsm_flux_operator(n_moments)
 
     def system_matrices(self, w):
         w = np.asarray(w, dtype=float)
         if w.ndim == 1:
             return self._matrix.copy()
         return np.broadcast_to(self._matrix, (w.shape[0],) + self._matrix.shape)
+
+    def flux_operator(self, wt):
+        """State-independent: the same tridiagonal product for every batch."""
+        return self._apply
 
     def wave_speeds(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))
@@ -261,11 +347,11 @@ class HSMModel:
 
     def validate(self, f):
         f = np.atleast_2d(f)
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             bad = int(np.argwhere(~np.isfinite(f).all(axis=1))[0, 0])
             raise StateError(f"non-finite state in cell {bad}")
         rho, _, theta = hsm_primitives(f)
-        if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+        if (rho <= 0.0).any() or (theta <= 0.0).any():
             bad = int(np.argwhere((rho <= 0.0) | (theta <= 0.0))[0, 0])
             raise StateError(f"recovered rho or theta <= 0 in cell {bad}")
 
@@ -282,8 +368,7 @@ class EulerModel:
         squeeze = w.ndim == 1
         w = np.atleast_2d(w)
         rho, u, theta = w[:, 0], w[:, 1], w[:, 2]
-        if np.any(rho <= 0.0) or np.any(theta <= 0.0):
-            raise StateError("euler state needs rho > 0 and theta > 0")
+        _check_rho_theta(rho, theta, "euler")
         a = np.zeros((w.shape[0], 3, 3))
         a[:, 0, 0] = u
         a[:, 0, 1] = rho
@@ -293,6 +378,20 @@ class EulerModel:
         a[:, 2, 1] = 2.0 * theta
         a[:, 2, 2] = u
         return a[0] if squeeze else a
+
+    def flux_operator(self, wt):
+        """v -> A(w) v for moment-major (3, n) states and vectors."""
+        wt = np.asarray(wt, dtype=float)
+        rho, u, theta = wt[0], wt[1], wt[2]
+        _check_rho_theta(rho, theta, "euler")
+        theta_rho, two_theta = theta / rho, 2.0 * theta
+
+        def apply(v):
+            out = np.empty_like(v, dtype=float)
+            _euler_rows(out, v, rho, u, theta_rho, two_theta)
+            return out
+
+        return apply
 
     def wave_speeds(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))
@@ -321,10 +420,10 @@ class EulerModel:
 
     def validate(self, w):
         w = np.atleast_2d(w)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
             raise StateError(f"non-finite state in cell {bad}")
-        if np.any(w[:, 0] <= 0.0) or np.any(w[:, 2] <= 0.0):
+        if (w[:, 0] <= 0.0).any() or (w[:, 2] <= 0.0).any():
             bad = int(np.argwhere((w[:, 0] <= 0.0) | (w[:, 2] <= 0.0))[0, 0])
             raise StateError(f"rho or theta <= 0 in cell {bad}")
 

@@ -32,6 +32,9 @@ class _Advection:
         w = np.atleast_2d(np.asarray(w, dtype=float))
         return np.full((w.shape[0], 1, 1), self.a)
 
+    def flux_operator(self, wt):
+        return lambda v: self.a * v
+
     def wave_speeds(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))
         return np.full(w.shape[0], abs(self.a))
@@ -174,6 +177,50 @@ def test_transport_preserves_mirror_symmetry(order):
         assert np.max(np.abs(rho - rho[::-1])) < 1e-12
         assert np.max(np.abs(u + u[::-1])) < 1e-12
         assert np.max(np.abs(theta - theta[::-1])) < 1e-12
+
+
+def _dense_reference_step(f, model, dt, order):
+    """The FORCE step of spatial_update, with dense A(w) applied by einsum."""
+    def apply(states, vecs):
+        return np.einsum("nij,nj->ni", model.system_matrices(states), vecs)
+
+    w, nu = f.data, dt / f.grid.dx
+    if order == 1:
+        we = np.concatenate([w[:1], w, w[-1:]])
+        wl, wr = we[:-1], we[1:]
+    else:
+        we = np.concatenate([w[:1], w[:1], w, w[-1:], w[-1:]])
+        d = np.diff(we, axis=0)
+        sig = 0.5 * (np.sign(d[:-1]) + np.sign(d[1:])) * np.minimum(np.abs(d[:-1]), np.abs(d[1:]))
+        ev = we[1:-1] - (0.5 * nu) * apply(we[1:-1], sig)
+        wl = ev[:-1] + 0.5 * sig[:-1]
+        wr = ev[1:] - 0.5 * sig[1:]
+    delta = wr - wl
+    mean = 0.5 * (wl + wr)
+    ad = apply(mean, delta)
+    qd = 0.5 * (delta / nu + nu * apply(mean, ad))
+    bracket = 0.5 * (ad + qd)[:-1] + 0.5 * (ad - qd)[1:]
+    if order == 2:
+        bracket = bracket + apply(ev[1:-1], sig[1:-1])
+    return w - nu * bracket
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("kind,m", [("hme", 5), ("hme", 10), ("hsm", 6), ("euler", 3)])
+def test_matrix_free_step_matches_dense_reference(kind, m, order):
+    rng = np.random.default_rng(17 * m + order)
+    model = make_model(kind, m)
+    g = Grid1D(-1.0, 1.0, 80)
+    w = model.equilibrium(rng.uniform(0.8, 1.2, 80), rng.uniform(-0.3, 0.3, 80),
+                          rng.uniform(0.8, 1.2, 80))
+    w[:, 3:] = rng.uniform(-0.05, 0.05, size=(80, model.n_vars - 3))
+    f = Field(g, w, 0.0)
+    dt = cfl_timestep(f, model, 0.5)
+    got = spatial_update(f, model, dt, order).data
+    ref = _dense_reference_step(f, model, dt, order)
+    assert got.flags.c_contiguous and got.shape == ref.shape
+    err = np.max(np.abs(got - ref), axis=0)
+    assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=0))
 
 
 def test_source_collisionless_is_identity():

@@ -108,6 +108,47 @@ def test_fixed_basis_eigenvalues_are_hermite_nodes():
         np.testing.assert_allclose(eig, nodes, rtol=0, atol=1e-13)
 
 
+# --- matrix-free flux operators ----------------------------------------------
+
+
+def _realizable_states(rng, n, m):
+    w = rng.uniform(-0.3, 0.3, size=(n, m))
+    w[:, 0] = rng.uniform(0.5, 2.0, size=n)
+    w[:, 2] = rng.uniform(0.5, 2.0, size=n)
+    return w
+
+
+@pytest.mark.parametrize("kind,m", [("hme", 4), ("hme", 5), ("hme", 10), ("hme", 40),
+                                    ("hsm", 3), ("hsm", 10), ("euler", 3)])
+def test_flux_operator_matches_dense_product(kind, m):
+    # M = 4 and 5 reach the regularized last row and the first sub-diagonal theta
+    rng = np.random.default_rng(100 + m)
+    model = make_model(kind, m)
+    w = _realizable_states(rng, 64, model.n_vars)
+    mats = model.system_matrices(w)
+    apply = model.flux_operator(w.T)
+    for _ in range(2):  # one build serves every product
+        v = rng.standard_normal((64, model.n_vars))
+        ref = np.einsum("nij,nj->ni", mats, v)
+        got = apply(v.T).T
+        # relative to the summed term magnitudes, the scale of their rounding
+        scale = np.einsum("nij,nj->ni", np.abs(mats), np.abs(v))
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("kind", ["hme", "euler"])
+@pytest.mark.parametrize("slot,value", [(0, 0.0), (0, -1.0), (2, 0.0), (2, -0.5)])
+def test_flux_operator_raises_like_dense_builder(kind, slot, value):
+    model = make_model(kind, 6)
+    w = _realizable_states(np.random.default_rng(9), 5, model.n_vars)
+    w[3, slot] = value
+    with pytest.raises(StateError) as dense:
+        model.system_matrices(w)
+    with pytest.raises(StateError) as free:
+        model.flux_operator(w.T)
+    assert str(free.value) == str(dense.value)
+
+
 # --- relaxation sources ------------------------------------------------------
 
 
