@@ -17,9 +17,7 @@ from .basis import (
     weighted_l2_distance,
 )
 from .coupling import (
-    MatchingOperator,
     basis_transform,
-    build_matching_operator,
     connection_coefficients,
     match_l2,
     pi_extrapolate,
@@ -40,7 +38,6 @@ from .models import (
     EulerModel,
     HMEModel,
     HSMModel,
-    euler_system_matrix,
     hme_source,
     hme_system_matrix,
     hsm_source,
@@ -75,12 +72,12 @@ __all__ = [
     "eval_basis_hsm", "hme_expansion", "hme_expansion_to_state",
     "hme_state_to_expansion", "hsm_expansion", "hsm_primitives",
     "maxwellian_coefficients", "moments_of", "weighted_l2_distance",
-    "MatchingOperator", "basis_transform", "build_matching_operator",
-    "connection_coefficients", "match_l2", "pi_extrapolate", "restrict",
+    "basis_transform", "connection_coefficients", "match_l2", "pi_extrapolate",
+    "restrict",
     "ConfigError", "DomainError", "NumericError", "StateError", "StepError",
     "Field", "Grid1D", "apply_source", "apply_source_exact", "cfl_timestep",
     "constant_field", "spatial_update", "total_mass",
-    "EulerModel", "HMEModel", "HSMModel", "euler_system_matrix", "hme_source",
+    "EulerModel", "HMEModel", "HSMModel", "hme_source",
     "hme_system_matrix", "hsm_source", "hsm_system_matrix", "make_model",
     "QuadratureRule", "gauss_hermite", "gauss_hermite_e", "gaussian_rule",
     "SimConfig", "StepReport", "cpi_step", "mm_step", "pi_step", "run",

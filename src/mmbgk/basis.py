@@ -26,10 +26,10 @@ from .errors import DomainError, NumericError, StateError
 from .quadrature import DEFAULT_ORDER, gaussian_rule
 
 # Heat flux of an adaptive-basis expansion: q = HEAT_FLUX_COEFF * theta^(3/2) * fhat_3.
-# Measured once with the quadrature oracle (equals sqrt(6)); the value is pinned by a test.
-HEAT_FLUX_COEFF = 2.449489742783178
+HEAT_FLUX_COEFF = math.sqrt(6.0)
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT6 = math.sqrt(6.0)
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,9 @@ def _inv_sqrt_factorials(n: int) -> np.ndarray:
 
 def eval_basis(params: BasisParams, c, n: int) -> np.ndarray:
     """All basis functions phi_0..phi_{n-1} at velocities c, shape (n,) + c.shape."""
-    u, theta = params.u, params.theta
-    if theta <= 0.0:
-        raise DomainError(f"basis temperature must be positive, got {theta}")
     c = np.asarray(c, dtype=float)
-    xi = (c - u) / math.sqrt(theta)
-    he = hermite_he_values(xi, n)
-    omega = np.exp(-0.5 * xi * xi) / math.sqrt(2.0 * math.pi * theta)
+    omega = weight_function(params, c)
+    he = hermite_he_values((c - params.u) / math.sqrt(params.theta), n)
     scale = _inv_sqrt_factorials(n)
     return he * omega * scale.reshape((n,) + (1,) * c.ndim)
 
@@ -166,14 +162,20 @@ def moments_of(e: HermiteExpansion):
         rho, u, theta = e.coeffs[0], e.coeffs[1], e.coeffs[2]
         q = HEAT_FLUX_COEFF * theta ** 1.5 * e.coeffs[3]
         return float(rho), float(rho * u), float(rho * theta), float(q)
-    f = e.coeffs
-    rho, u, theta = hsm_primitives(f)
-    # central third moment from raw moments: int c^k f dc for k = 0..3
-    m1 = f[1]
-    m2 = _SQRT2 * f[2] + f[0]
-    m3 = math.sqrt(6.0) * f[3] + 3.0 * f[1] if len(f) > 3 else 3.0 * f[1]
-    q = m3 - 3.0 * u * m2 + 3.0 * u * u * m1 - u ** 3 * rho
+    rho, u, theta = hsm_primitives(e.coeffs)
+    q = hsm_heat_flux(e.coeffs)
     return float(rho), float(rho * u), float(rho * theta), float(q)
+
+
+def hsm_heat_flux(f):
+    """Heat flux of fixed-basis coefficients from the raw moments int c^k f dc, k <= 3."""
+    rho, u, theta = hsm_primitives(f)
+    m1 = f[..., 1]
+    m2 = _SQRT2 * f[..., 2] + f[..., 0]
+    m3 = 3.0 * f[..., 1]
+    if f.shape[-1] > 3:
+        m3 = m3 + _SQRT6 * f[..., 3]
+    return m3 - 3.0 * u * m2 + 3.0 * u * u * m1 - u ** 3 * rho
 
 
 def maxwellian_coefficients(rho, u, theta, n_moments: int) -> np.ndarray:

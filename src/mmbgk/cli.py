@@ -6,6 +6,7 @@ realizability breach, IO error).
 """
 
 import argparse
+from dataclasses import fields
 import os
 import sys
 
@@ -20,8 +21,7 @@ from .experiments import (
     speedup_bench,
     two_beam,
 )
-
-SCHEME_CHOICES = ("mmhme", "mmhsm", "pi", "cpi", "micro", "micro-split", "euler")
+from .schemes import SCHEMES
 
 
 def _fmt(v) -> str:
@@ -52,33 +52,31 @@ def snapshot_path(base: str, index: int) -> str:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    # each dest names the TwoBeamConfig field the flag sets
     d = TwoBeamConfig()
-    p.add_argument("--scheme", choices=SCHEME_CHOICES, default=d.scheme)
+    p.add_argument("--scheme", choices=SCHEMES, default=d.scheme)
     p.add_argument("--model", choices=("hme", "hsm"), default=d.model,
                    help="micro model for pi/cpi/micro schemes")
-    p.add_argument("--moments", type=int, default=d.n_moments, metavar="M")
-    p.add_argument("--macro", type=int, default=None, metavar="L",
+    p.add_argument("--moments", dest="n_moments", type=int, default=d.n_moments, metavar="M")
+    p.add_argument("--macro", dest="n_macro", type=int, default=None, metavar="L",
                    help="macro size; defaults to 3 (mm, cpi) or M (pi)")
     p.add_argument("--eps", type=float, default=d.eps)
     p.add_argument("--dt-micro", type=float, default=None)
     p.add_argument("--dt-macro", type=float, default=d.dt_macro)
     p.add_argument("--micro-steps", type=int, default=d.micro_steps)
-    p.add_argument("--cells", type=int, default=d.n_cells)
-    p.add_argument("--xmin", type=float, default=d.x_min)
-    p.add_argument("--xmax", type=float, default=d.x_max)
+    p.add_argument("--cells", dest="n_cells", type=int, default=d.n_cells)
+    p.add_argument("--xmin", dest="x_min", type=float, default=d.x_min)
+    p.add_argument("--xmax", dest="x_max", type=float, default=d.x_max)
     p.add_argument("--t-end", type=float, default=d.t_end)
     p.add_argument("--cfl", type=float, default=d.cfl)
     p.add_argument("--order", type=int, choices=(1, 2), default=d.order)
-    p.add_argument("--snapshots", type=int, default=d.n_snapshots)
+    p.add_argument("--snapshots", dest="n_snapshots", type=int, default=d.n_snapshots)
 
 
 def _add_common_flags(p: argparse.ArgumentParser, default_out: str) -> None:
     p.add_argument("--out", default=default_out, metavar="PATH")
     p.add_argument("--config", default=None, metavar="FILE",
                    help="key=value file of flag defaults; flags override")
-    p.add_argument("--seed", type=int, default=None, help="reserved")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; execution is single-threaded")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,15 +159,9 @@ def _expand_config(argv):
 
 
 def _run_two_beam(args) -> int:
-    if args.scheme == "pi" and args.macro is not None and args.macro != args.moments:
-        raise ConfigError("--scheme pi carries all moments: --macro must equal --moments")
-    cfg = TwoBeamConfig(
-        x_min=args.xmin, x_max=args.xmax, n_cells=args.cells, t_end=args.t_end,
-        eps=args.eps, n_moments=args.moments, n_macro=args.macro,
-        scheme=args.scheme, model=args.model, dt_macro=args.dt_macro,
-        dt_micro=args.dt_micro, micro_steps=args.micro_steps, cfl=args.cfl,
-        order=args.order, n_snapshots=args.snapshots,
-    )
+    # the run flags' dests are the field names; u_beam has no flag
+    cfg = TwoBeamConfig(**{f.name: getattr(args, f.name) for f in fields(TwoBeamConfig)
+                           if hasattr(args, f.name)})
     snaps = two_beam(cfg)
     for i, snap in enumerate(snaps):
         write_csv(snap, snapshot_path(args.out, i))

@@ -10,7 +10,6 @@ int phi*_i phi+_j (omega+)^-1 dc have a closed form from the Hermite
 connection recurrence; the quadrature oracle pins them in the tests.
 """
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -66,43 +65,6 @@ def connection_coefficients(u_new, theta_new, u_prior, theta_prior, n_moments: i
     return mat
 
 
-@dataclass(frozen=True)
-class MatchingOperator:
-    """Precomputed matrices of the L2 matching normal equations.
-
-    a is the Gram matrix of the new basis (identity under the orthonormal
-    convention); b the prior-to-new cross Gram. Applying the operator to
-    prior coefficients gives the transformed coefficients b^T fhat.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    new_params: BasisParams
-    prior_params: BasisParams
-
-    @property
-    def n_moments(self) -> int:
-        return self.b.shape[0]
-
-    def apply(self, fhat_prior: np.ndarray) -> np.ndarray:
-        rhs = self.b.T @ fhat_prior
-        # orthonormal bases make a the identity and the normal-equation
-        # solve collapses to the transposed-connection product
-        if np.array_equal(self.a, np.eye(self.n_moments)):
-            return rhs
-        return np.linalg.solve(self.a, rhs)
-
-
-def build_matching_operator(u_new, theta_new, u_prior, theta_prior, n_moments: int) -> MatchingOperator:
-    if theta_new <= 0.0 or theta_prior <= 0.0:
-        raise DomainError("basis temperatures must be positive")
-    b = connection_coefficients(u_new, theta_new, u_prior, theta_prior, n_moments)
-    return MatchingOperator(
-        np.eye(n_moments), b, BasisParams(float(u_new), float(theta_new)),
-        BasisParams(float(u_prior), float(theta_prior)),
-    )
-
-
 def restrict(micro: HermiteExpansion, n_macro: int) -> np.ndarray:
     """First n_macro variables of the micro state.
 
@@ -122,15 +84,12 @@ def restrict(micro: HermiteExpansion, n_macro: int) -> np.ndarray:
 def match_l2(prior: HermiteExpansion, macro_new) -> HermiteExpansion:
     """Micro state consistent with macro_new = (rho+, u+, theta+), closest to prior."""
     rho_n, u_n, theta_n = (float(v) for v in macro_new)
-    m = prior.n_moments
     if prior.model == "hsm":
-        f = prior.coeffs.copy()
-        f[0] = rho_n
-        f[1] = rho_n * u_n
-        f[2] = (rho_n * theta_n + rho_n * u_n * u_n - rho_n) / _SQRT2
-        return hsm_expansion(f)
-    op = build_matching_operator(u_n, theta_n, prior.params.u, prior.params.theta, m)
-    ftilde = op.apply(prior.coefficient_vector())
+        macro = np.array([[rho_n, u_n, theta_n]])
+        return hsm_expansion(match_hsm_states(prior.coeffs[None, :], macro)[0])
+    # orthonormal bases make the normal-equation matrix the identity, so
+    # the minimizer is the prior re-expanded in the new basis
+    ftilde = basis_transform(prior, BasisParams(u_n, theta_n))
     coeffs = np.concatenate([[rho_n, u_n, theta_n], ftilde[3:]])
     return hme_expansion(coeffs)
 

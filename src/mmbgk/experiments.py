@@ -12,30 +12,18 @@ from .basis import hme_state_to_expansion, weighted_l2_distance
 from .coupling import transform_state_slots
 from .errors import ConfigError
 from .grid import Field, Grid1D
-from .models import make_model
-from .schemes import SimConfig, run, run_with_reports
+from .schemes import SimConfig, run, run_with_reports, scheme_model
 
 
 @dataclass
-class TwoBeamConfig:
-    """Colliding-beams setup; defaults follow the reference configuration."""
+class TwoBeamConfig(SimConfig):
+    """Colliding-beams setup: the run settings plus the domain and beam speed.
+    Defaults follow the reference configuration."""
 
     u_beam: float = 0.5
     x_min: float = -10.0
     x_max: float = 10.0
     n_cells: int = 500
-    t_end: float = 0.1
-    eps: float = 1e-4
-    n_moments: int = 10
-    n_macro: int = None
-    scheme: str = "mmhme"
-    model: str = "hme"
-    dt_macro: float = 5e-4
-    dt_micro: float = None
-    micro_steps: int = 2
-    cfl: float = 0.5
-    order: int = 1
-    n_snapshots: int = 1
 
 
 @dataclass
@@ -65,22 +53,6 @@ class BenchResult:
 BIMODAL_STATE = (1.0, 1.0, 1.0, -0.2, 0.1, -0.01, 0.001, -0.0005)
 
 
-def _sim_config(cfg: TwoBeamConfig) -> SimConfig:
-    return SimConfig(
-        scheme=cfg.scheme, model=cfg.model, n_moments=cfg.n_moments,
-        n_macro=cfg.n_macro, eps=cfg.eps, t_end=cfg.t_end,
-        dt_macro=cfg.dt_macro, dt_micro=cfg.dt_micro,
-        micro_steps=cfg.micro_steps, cfl=cfg.cfl, order=cfg.order,
-        n_snapshots=cfg.n_snapshots,
-    )
-
-
-def scheme_model(cfg: TwoBeamConfig):
-    """The model the configured scheme actually advances."""
-    kind = {"mmhme": "hme", "mmhsm": "hsm", "euler": "euler"}.get(cfg.scheme, cfg.model)
-    return make_model(kind, cfg.n_moments)
-
-
 def two_beam_initial(cfg: TwoBeamConfig):
     """Initial field: opposed equilibrium beams (rho=1, u=+-u_beam, theta=1)."""
     grid = Grid1D(cfg.x_min, cfg.x_max, cfg.n_cells)
@@ -103,7 +75,7 @@ def two_beam(cfg: TwoBeamConfig = None):
     """Run the two-beam test, returning one MomentSnapshot per emitted time."""
     cfg = cfg or TwoBeamConfig()
     field0, model = two_beam_initial(cfg)
-    snaps = run(field0, _sim_config(cfg))
+    snaps = run(field0, cfg)
     return [moment_snapshot(s, model) for s in snaps]
 
 
@@ -157,7 +129,7 @@ def consistency_sweep(cfl_list=(0.5, 0.4, 0.27), eps: float = 1e-4,
     base = TwoBeamConfig(eps=eps, n_moments=n_moments, t_end=t_end)
     ref_cfg = replace(base, scheme="micro", model="hme", dt_micro=eps)
     field0, model = two_beam_initial(ref_cfg)
-    ref = run(field0, _sim_config(ref_cfg))[-1]
+    ref = run(field0, ref_cfg)[-1]
     ref_prim = model.primitive_moments(ref.data)
     rows = []
     for scheme in ("mmhme", "cpi"):
@@ -166,7 +138,7 @@ def consistency_sweep(cfl_list=(0.5, 0.4, 0.27), eps: float = 1e-4,
             cfg = replace(base, scheme=scheme, model="hme", dt_macro=dt, cfl=cfl,
                           n_macro=3 if scheme == "cpi" else None, dt_micro=eps)
             f0, _ = two_beam_initial(cfg)
-            final = run(f0, _sim_config(cfg))[-1]
+            final = run(f0, cfg)[-1]
             dist = _primitive_distance(f0.grid, model.primitive_moments(final.data), ref_prim)
             rows.append((scheme, cfl, dt, dist))
     return rows
@@ -187,11 +159,10 @@ def speedup_bench(eps_list=(1e-3, 1e-4, 1e-5), t_end: float = 0.1):
             cfg = TwoBeamConfig(scheme=scheme, eps=eps, t_end=t_end,
                                 dt_micro=eps / 2.0 if scheme == "micro" else None)
             f0, _ = two_beam_initial(cfg)
-            sim = _sim_config(cfg)
             best, spent = math.inf, 0.0
             while True:
                 t0 = time.perf_counter()
-                _, reports = run_with_reports(f0, sim)
+                _, reports = run_with_reports(f0, cfg)
                 wall = time.perf_counter() - t0
                 best, spent = min(best, wall), spent + wall
                 if spent >= 0.5 or spent >= 5 * best:

@@ -18,11 +18,8 @@ import math
 import numpy as np
 from numpy.polynomial import hermite_e
 
-from .basis import hsm_primitives, maxwellian_coefficients
+from .basis import hsm_heat_flux, hsm_primitives, maxwellian_coefficients
 from .errors import ConfigError, DomainError, StateError
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT6 = math.sqrt(6.0)
 
 
 @lru_cache(maxsize=None)
@@ -46,6 +43,23 @@ def _as_batch(w, n_vars_min):
 def _check_rho_theta(rho, theta, kind):
     if (rho <= 0.0).any() or (theta <= 0.0).any():
         raise StateError(f"{kind} state needs rho > 0 and theta > 0")
+
+
+def _check_state(w, rho, theta, what="rho or theta"):
+    """StateError naming the first cell that is non-finite or has rho or theta <= 0."""
+    if not np.isfinite(w).all():
+        bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
+        raise StateError(f"non-finite state in cell {bad}")
+    if (rho <= 0.0).any() or (theta <= 0.0).any():
+        bad = int(np.argwhere((rho <= 0.0) | (theta <= 0.0))[0, 0])
+        raise StateError(f"{what} <= 0 in cell {bad}")
+
+
+def _equilibrium_args(rho, u, theta):
+    """(rho, u, theta) as float arrays of one common shape (n,)."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    u = np.broadcast_to(np.asarray(u, dtype=float), rho.shape)
+    return rho, u, np.broadcast_to(np.asarray(theta, dtype=float), rho.shape)
 
 
 def hme_system_matrices(w) -> np.ndarray:
@@ -204,14 +218,6 @@ def hsm_source(f, eps) -> np.ndarray:
     return -(f - m) / eps
 
 
-def euler_system_matrix(w) -> np.ndarray:
-    """3x3 flux matrix of the Euler system in primitive variables."""
-    w = np.asarray(w, dtype=float)
-    rho, u, theta = w[0], w[1], w[2]
-    _check_rho_theta(rho, theta, "euler")
-    return np.array([[u, rho, 0.0], [theta / rho, u, 1.0], [0.0, 2.0 * theta, u]])
-
-
 class HMEModel:
     """Adaptive-basis moment model with M >= 4 variables."""
 
@@ -235,23 +241,20 @@ class HMEModel:
         r = largest_hermite_root(self.n_moments)
         return np.abs(w[:, 1]) + np.sqrt(w[:, 2]) * r
 
-    def source(self, w, eps):
-        return hme_source(w, eps)
-
     def relax(self, w, eps, dt):
         """Forward-Euler collision update; multiplicative on the free slots."""
-        if math.isinf(eps):
-            return w.copy()
-        out = w.copy()
-        out[..., 3:] *= 1.0 - dt / eps
-        return out
+        return self._relax(w, eps, 1.0 - dt / eps)
 
     def relax_exact(self, w, eps, dt):
         """Exact integration of the relaxation over dt."""
+        return self._relax(w, eps, math.exp(-dt / eps))
+
+    def _relax(self, w, eps, factor):
+        """Scale the free slots by the decay factor of the relaxation step."""
         if math.isinf(eps):
             return w.copy()
         out = w.copy()
-        out[..., 3:] *= math.exp(-dt / eps)
+        out[..., 3:] *= factor
         return out
 
     def primitive_moments(self, w):
@@ -264,20 +267,14 @@ class HMEModel:
         return 6.0 * w[:, 3]
 
     def equilibrium(self, rho, u, theta):
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        u, theta = np.broadcast_to(u, rho.shape), np.broadcast_to(theta, rho.shape)
+        rho, u, theta = _equilibrium_args(rho, u, theta)
         w = np.zeros((len(rho), self.n_vars))
         w[:, 0], w[:, 1], w[:, 2] = rho, u, theta
         return w
 
     def validate(self, w):
         w = np.atleast_2d(w)
-        if not np.isfinite(w).all():
-            bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
-            raise StateError(f"non-finite state in cell {bad}")
-        if (w[:, 0] <= 0.0).any() or (w[:, 2] <= 0.0).any():
-            bad = int(np.argwhere((w[:, 0] <= 0.0) | (w[:, 2] <= 0.0))[0, 0])
-            raise StateError(f"rho or theta <= 0 in cell {bad}")
+        _check_state(w, w[:, 0], w[:, 2])
 
 
 class HSMModel:
@@ -307,22 +304,19 @@ class HSMModel:
         w = np.atleast_2d(np.asarray(w, dtype=float))
         return np.full(w.shape[0], largest_hermite_root(self.n_moments))
 
-    def source(self, f, eps):
-        return hsm_source(f, eps)
-
     def relax(self, f, eps, dt):
-        if math.isinf(eps):
-            return f.copy()
-        rho, u, theta = hsm_primitives(f)
-        m = maxwellian_coefficients(rho, u, theta, self.n_vars)
-        return m + (f - m) * (1.0 - dt / eps)
+        return self._relax(f, eps, 1.0 - dt / eps)
 
     def relax_exact(self, f, eps, dt):
+        return self._relax(f, eps, math.exp(-dt / eps))
+
+    def _relax(self, f, eps, factor):
+        """Scale the distance to the local Maxwellian by the decay factor."""
         if math.isinf(eps):
             return f.copy()
         rho, u, theta = hsm_primitives(f)
         m = maxwellian_coefficients(rho, u, theta, self.n_vars)
-        return m + (f - m) * math.exp(-dt / eps)
+        return m + (f - m) * factor
 
     def primitive_moments(self, f):
         f = np.atleast_2d(np.asarray(f, dtype=float))
@@ -331,29 +325,16 @@ class HSMModel:
 
     def heat_flux(self, f):
         """Third central moment from the raw coefficients."""
-        f = np.atleast_2d(np.asarray(f, dtype=float))
-        rho, u, theta = hsm_primitives(f)
-        m1 = f[:, 1]
-        m2 = _SQRT2 * f[:, 2] + f[:, 0]
-        m3 = 3.0 * f[:, 1]
-        if f.shape[1] > 3:
-            m3 = m3 + _SQRT6 * f[:, 3]
-        return m3 - 3.0 * u * m2 + 3.0 * u * u * m1 - u ** 3 * rho
+        return hsm_heat_flux(np.atleast_2d(np.asarray(f, dtype=float)))
 
     def equilibrium(self, rho, u, theta):
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        u, theta = np.broadcast_to(u, rho.shape), np.broadcast_to(theta, rho.shape)
+        rho, u, theta = _equilibrium_args(rho, u, theta)
         return maxwellian_coefficients(rho, u, theta, self.n_vars)
 
     def validate(self, f):
         f = np.atleast_2d(f)
-        if not np.isfinite(f).all():
-            bad = int(np.argwhere(~np.isfinite(f).all(axis=1))[0, 0])
-            raise StateError(f"non-finite state in cell {bad}")
         rho, _, theta = hsm_primitives(f)
-        if (rho <= 0.0).any() or (theta <= 0.0).any():
-            bad = int(np.argwhere((rho <= 0.0) | (theta <= 0.0))[0, 0])
-            raise StateError(f"recovered rho or theta <= 0 in cell {bad}")
+        _check_state(f, rho, theta, "recovered rho or theta")
 
 
 class EulerModel:
@@ -397,9 +378,6 @@ class EulerModel:
         w = np.atleast_2d(np.asarray(w, dtype=float))
         return np.abs(w[:, 1]) + np.sqrt(3.0 * w[:, 2])
 
-    def source(self, w, eps):
-        return np.zeros_like(np.asarray(w, dtype=float))
-
     def relax(self, w, eps, dt):
         return w.copy()
 
@@ -414,18 +392,11 @@ class EulerModel:
         return np.zeros(w.shape[0])
 
     def equilibrium(self, rho, u, theta):
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        u, theta = np.broadcast_to(u, rho.shape), np.broadcast_to(theta, rho.shape)
-        return np.stack([rho, np.asarray(u, dtype=float), np.asarray(theta, dtype=float)], axis=1)
+        return np.stack(_equilibrium_args(rho, u, theta), axis=1)
 
     def validate(self, w):
         w = np.atleast_2d(w)
-        if not np.isfinite(w).all():
-            bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
-            raise StateError(f"non-finite state in cell {bad}")
-        if (w[:, 0] <= 0.0).any() or (w[:, 2] <= 0.0).any():
-            bad = int(np.argwhere((w[:, 0] <= 0.0) | (w[:, 2] <= 0.0))[0, 0])
-            raise StateError(f"rho or theta <= 0 in cell {bad}")
+        _check_state(w, w[:, 0], w[:, 2])
 
 
 def make_model(kind: str, n_moments: int = 0):

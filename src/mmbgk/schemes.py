@@ -1,13 +1,15 @@
-"""Time-stepping drivers: hierarchical micro-macro loop, projective
-integration, and the plain reference integrators.
+"""Time stepping: one accelerated macro step and the plain reference
+integrators.
 
-One macro step of the mm schemes runs n_micro small transport+relaxation
-steps, restricts to (rho, u, theta), advances those with the Euler system
-over the leftover interval, and matches back to the full moment vector.
-PI replaces steps (2)-(4) by linear extrapolation of all moments from the
-last two micro states; CPI extrapolates the first L moments and matches
-the rest. MicroExplicit / MicroSplitting / EulerOnly are the single-model
-references the experiments compare against.
+The accelerated schemes mmhme, mmhsm, pi and cpi share one step: K small
+transport + relaxation steps, a macro advance of the leading L = n_macro
+variables over the whole step, and matching of the other variables to the
+last micro state. Only the macro advance differs. The mm schemes restrict
+to (rho, u, theta) and advance those with the Euler system over the
+leftover interval; PI and CPI extrapolate the first L variables linearly
+from the last two micro states. PI carries all L = M variables, which leaves
+no slot to match, so CPI at L = M is PI by construction. micro, micro-split
+and euler are the single-model references the experiments compare against.
 """
 
 from dataclasses import dataclass
@@ -49,6 +51,17 @@ class StepReport:
     t_match: float = 0.0
 
 
+def scheme_model(cfg: SimConfig):
+    """The model the configured scheme advances: mm* pin their own micro
+    model, euler runs the Euler system, the rest use cfg.model."""
+    if cfg.scheme == "euler":
+        return EulerModel()
+    kind = {"mmhme": "hme", "mmhsm": "hsm"}.get(cfg.scheme, cfg.model)
+    if kind not in ("hme", "hsm"):
+        raise ConfigError(f"micro model must be hme or hsm, got {kind!r}")
+    return make_model(kind, cfg.n_moments)
+
+
 class _Runner:
     """Config resolution + step dispatch shared by run() and the step [OP]s."""
 
@@ -65,35 +78,27 @@ class _Runner:
             raise ConfigError(f"dt_macro must be positive, got {cfg.dt_macro}")
         self.cfg = cfg
         self.scheme = cfg.scheme
+        # the macro advance: extrapolation (pi, cpi) or restrict + Euler (mm)
+        self.extrapolate = self.scheme in ("pi", "cpi")
         self.euler = EulerModel()
-        if self.scheme == "euler":
-            self.model = self.euler
-        else:
-            kind = {"mmhme": "hme", "mmhsm": "hsm"}.get(self.scheme, cfg.model)
-            if kind not in ("hme", "hsm"):
-                raise ConfigError(f"micro model must be hme or hsm, got {kind!r}")
-            self.model = make_model(kind, cfg.n_moments)
+        self.model = scheme_model(cfg)
         if field0.n_vars != self.model.n_vars:
             raise ConfigError(
                 f"field carries {field0.n_vars} variables, scheme needs {self.model.n_vars}"
             )
         m = self.model.n_vars
         l = cfg.n_macro
-        if self.scheme in ("mmhme", "mmhsm"):
-            l = 3 if l is None else l
-            if l != 3:
-                raise ConfigError("mm schemes restrict to (rho, u, theta); n_macro must be 3")
-        elif self.scheme == "pi":
-            l = m if l is None else l
-            if l != m:
-                raise ConfigError(
-                    "pi carries all moments, so n_macro must equal n_moments "
-                    f"(got L={l}, M={m})"
-                )
-        elif self.scheme == "cpi":
-            l = 3 if l is None else l
-            if not 3 <= l <= m:
-                raise ConfigError(f"cpi needs 3 <= n_macro <= {m}, got {l}")
+        if l is None:
+            l = m if self.scheme == "pi" else 3
+        if self.scheme in ("mmhme", "mmhsm") and l != 3:
+            raise ConfigError("mm schemes restrict to (rho, u, theta); n_macro must be 3")
+        if self.scheme == "pi" and l != m:
+            raise ConfigError(
+                "pi carries all moments, so n_macro must equal n_moments "
+                f"(got L={l}, M={m})"
+            )
+        if self.scheme == "cpi" and not 3 <= l <= m:
+            raise ConfigError(f"cpi needs 3 <= n_macro <= {m}, got {l}")
         self.n_macro = l
         self.k = cfg.micro_steps
         self.dt_micro = self._resolve_dt_micro(field0)
@@ -102,15 +107,7 @@ class _Runner:
                 raise ConfigError(
                     f"micro work {self.k}*{self.dt_micro:g} exceeds dt_macro={cfg.dt_macro:g}"
                 )
-        self.step = {
-            "mmhme": self._mm_step,
-            "mmhsm": self._mm_step,
-            "pi": self._pi_step,
-            "cpi": self._pi_step if l == m else self._cpi_step,
-            "micro": self._micro_step,
-            "micro-split": self._split_step,
-            "euler": self._euler_step,
-        }[self.scheme]
+        self.step = self._macro_step if self.scheme in _MACRO_SCHEMES else self._plain_step
         self.pace = self.dt_micro if self.scheme in ("micro", "micro-split") else cfg.dt_macro
 
     def _resolve_dt_micro(self, field0: Field) -> float:
@@ -121,7 +118,7 @@ class _Runner:
                 raise ConfigError(f"dt_micro must be positive, got {self.cfg.dt_micro}")
             return self.cfg.dt_micro
         limit = cfl_timestep(field0, self.model, self.cfg.cfl)
-        if self.scheme in ("pi", "cpi"):
+        if self.extrapolate:
             # dt_micro = eps kills the stiff mode before extrapolation; the
             # projective step is unstable for sigma = 1 - dt/eps near 1/2
             return min(self.cfg.eps, limit, self.cfg.dt_macro / self.k)
@@ -132,11 +129,16 @@ class _Runner:
             return limit
         return min(self.cfg.eps / 2.0, limit)
 
-    def _micro_substeps(self, f: Field, n: int) -> Field:
+    def _micro(self, f: Field, dt: float, n: int):
+        """n transport + relaxation steps of size dt; returns the last state
+        and the one before it, which PI/CPI extrapolate from."""
+        source = apply_source_exact if self.scheme == "micro-split" else apply_source
+        prev = f
         for _ in range(n):
-            f = spatial_update(f, self.model, self.dt_micro, self.cfg.order)
-            f = apply_source(f, self.model, self.cfg.eps, self.dt_micro)
-        return f
+            prev = f
+            f = spatial_update(f, self.model, dt, self.cfg.order)
+            f = source(f, self.model, self.cfg.eps, dt)
+        return f, prev
 
     def _leftover(self, dt_total: float) -> float:
         tau = dt_total - self.k * self.dt_micro
@@ -156,23 +158,36 @@ class _Runner:
             remaining -= step
         return f
 
-    def _mm_step(self, f: Field, dt_total: float):
-        t_start = f.time
+    def _macro_step(self, f: Field, dt_total: float):
+        """Micro steps, macro advance of the leading n_macro variables, match."""
+        t_start, l = f.time, self.n_macro
         rep = StepReport(dt=dt_total, micro_steps=self.k)
         t0 = time.perf_counter()
-        f = self._micro_substeps(f, self.k)
-        t1 = time.perf_counter()
-        macro = self.model.primitive_moments(f.data)
-        t2 = time.perf_counter()
+        f, prev = self._micro(f, self.dt_micro, self.k)
+        t1 = t2 = time.perf_counter()
         tau = self._leftover(dt_total)
-        if tau > 0.0:
-            mf = self._euler_advance(Field(f.grid, macro, f.time), tau)
-            macro = mf.data
-        t3 = time.perf_counter()
-        if self.model.kind == "hme":
-            new = transform_state_slots(f.data, macro)
+        if self.extrapolate:
+            dt_eff = self.k * self.dt_micro + tau
+            macro = pi_extrapolate(f.data[:, :l], prev.data[:, :l], self.dt_micro, dt_eff, self.k)
         else:
+            macro = self.model.primitive_moments(f.data)
+            t2 = time.perf_counter()
+            if tau > 0.0:
+                macro = self._euler_advance(Field(f.grid, macro, f.time), tau).data
+        t3 = time.perf_counter()
+        if self.extrapolate and l == self.model.n_vars:
+            # no free slots, so no matching and no theta_prior < 2 theta_new
+            # bound: CPI at L = M is PI
+            new = macro
+        elif self.model.kind == "hme":
+            new = transform_state_slots(f.data, macro[:, :3], first_free=l)
+            new[:, 3:l] = macro[:, 3:]
+        elif not self.extrapolate:
             new = match_hsm_states(f.data, macro)
+        else:
+            # fixed basis: the free slots carry over unchanged
+            new = f.data.copy()
+            new[:, :l] = macro
         self.model.validate(new)
         out = Field(f.grid, new, t_start + dt_total)
         t4 = time.perf_counter()
@@ -180,86 +195,24 @@ class _Runner:
         rep.t_macro, rep.t_match = t3 - t2, t4 - t3
         return out, rep
 
-    def _pi_step(self, f: Field, dt_total: float):
-        t_start = f.time
-        rep = StepReport(dt=dt_total, micro_steps=self.k)
+    def _plain_step(self, f: Field, dt_total: float):
+        """One micro step (micro, micro-split) or one Euler advance (euler)."""
         t0 = time.perf_counter()
-        w_prev = f.data
-        for _ in range(self.k):
-            w_prev = f.data
-            f = spatial_update(f, self.model, self.dt_micro, self.cfg.order)
-            f = apply_source(f, self.model, self.cfg.eps, self.dt_micro)
-        t1 = time.perf_counter()
-        dt_eff = self.k * self.dt_micro + self._leftover(dt_total)
-        new = pi_extrapolate(f.data, w_prev, self.dt_micro, dt_eff, self.k)
-        self.model.validate(new)
-        out = Field(f.grid, new, t_start + dt_total)
-        t2 = time.perf_counter()
-        rep.t_micro, rep.t_macro = t1 - t0, t2 - t1
-        return out, rep
-
-    def _cpi_step(self, f: Field, dt_total: float):
-        t_start = f.time
-        l = self.n_macro
-        rep = StepReport(dt=dt_total, micro_steps=self.k)
-        t0 = time.perf_counter()
-        w_prev = f.data
-        for _ in range(self.k):
-            w_prev = f.data
-            f = spatial_update(f, self.model, self.dt_micro, self.cfg.order)
-            f = apply_source(f, self.model, self.cfg.eps, self.dt_micro)
-        t1 = time.perf_counter()
-        dt_eff = self.k * self.dt_micro + self._leftover(dt_total)
-        ex = pi_extrapolate(f.data[:, :l], w_prev[:, :l], self.dt_micro, dt_eff, self.k)
-        t2 = time.perf_counter()
-        if self.model.kind == "hme":
-            new = transform_state_slots(f.data, ex[:, :3], first_free=l)
-            new[:, 3:l] = ex[:, 3:]
-        else:
-            new = f.data.copy()
-            new[:, :l] = ex
-        self.model.validate(new)
-        out = Field(f.grid, new, t_start + dt_total)
-        t3 = time.perf_counter()
-        rep.t_micro, rep.t_macro, rep.t_match = t1 - t0, t2 - t1, t3 - t2
-        return out, rep
-
-    def _micro_step(self, f: Field, dt_total: float):
-        rep = StepReport(dt=dt_total, micro_steps=1)
-        t0 = time.perf_counter()
-        f = spatial_update(f, self.model, dt_total, self.cfg.order)
-        f = apply_source(f, self.model, self.cfg.eps, dt_total)
-        rep.t_micro = time.perf_counter() - t0
-        return f, rep
-
-    def _split_step(self, f: Field, dt_total: float):
-        rep = StepReport(dt=dt_total, micro_steps=1)
-        t0 = time.perf_counter()
-        f = spatial_update(f, self.model, dt_total, self.cfg.order)
-        f = apply_source_exact(f, self.model, self.cfg.eps, dt_total)
-        rep.t_micro = time.perf_counter() - t0
-        return f, rep
-
-    def _euler_step(self, f: Field, dt_total: float):
-        rep = StepReport(dt=dt_total, micro_steps=0)
-        t0 = time.perf_counter()
-        f = self._euler_advance(f, dt_total)
-        rep.t_macro = time.perf_counter() - t0
-        return f, rep
+        if self.scheme == "euler":
+            f = self._euler_advance(f, dt_total)
+            return f, StepReport(dt_total, 0, t_macro=time.perf_counter() - t0)
+        f, _ = self._micro(f, dt_total, 1)
+        return f, StepReport(dt_total, 1, t_micro=time.perf_counter() - t0)
 
     def _micro_fill(self, f: Field, remainder: float) -> Field:
         """Cover a sub-pace interval with plain micro (or euler) stepping."""
-        if self.scheme == "euler":
-            return self._euler_advance(f, remainder)
-        if self.scheme == "micro-split":
-            f = spatial_update(f, self.model, remainder, self.cfg.order)
-            return apply_source_exact(f, self.model, self.cfg.eps, remainder)
+        if self.scheme in ("euler", "micro-split"):
+            return self._plain_step(f, remainder)[0]
         n_full = int(math.floor(remainder / self.dt_micro * (1.0 + 1e-12)))
-        f = self._micro_substeps(f, n_full)
+        f, _ = self._micro(f, self.dt_micro, n_full)
         rem = remainder - n_full * self.dt_micro
         if rem > self.dt_micro * 1e-9:
-            f = spatial_update(f, self.model, rem, self.cfg.order)
-            f = apply_source(f, self.model, self.cfg.eps, rem)
+            f, _ = self._micro(f, rem, 1)
         return f
 
     def run(self, field0: Field):

@@ -72,7 +72,7 @@ def test_pi_macro_width_is_enforced(tmp_path, capsys):
         "two-beam", "--scheme", "pi", "--macro", "3", "--cells", "20",
         "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert "--macro must equal --moments" in capsys.readouterr().err
+    assert "n_macro must equal n_moments" in capsys.readouterr().err
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):

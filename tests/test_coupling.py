@@ -16,7 +16,6 @@ from mmbgk.basis import (
 )
 from mmbgk.coupling import (
     basis_transform,
-    build_matching_operator,
     connection_coefficients,
     match_hsm_states,
     match_l2,
@@ -43,9 +42,8 @@ def _b_by_quadrature(u_new, t_new, u_prior, t_prior, n):
 
 
 def test_identity_at_equal_params():
-    op = build_matching_operator(0.3, 1.4, 0.3, 1.4, 8)
-    np.testing.assert_array_equal(op.a, np.eye(8))
-    np.testing.assert_array_equal(op.b, np.eye(8))
+    b = connection_coefficients(0.3, 1.4, 0.3, 1.4, 8)
+    np.testing.assert_array_equal(b, np.eye(8))
 
 
 def test_connection_matches_quadrature_literal_quadruple():
@@ -66,12 +64,12 @@ def test_connection_is_upper_triangular():
 def test_weight_ratio_domain_bound():
     # prior temperature must stay below twice the new one, boundary included
     with pytest.raises(DomainError):
-        build_matching_operator(0.0, 1.0, 0.0, 2.0, 6)
+        connection_coefficients(0.0, 1.0, 0.0, 2.0, 6)
     with pytest.raises(DomainError):
-        build_matching_operator(0.0, 1.0, 0.0, 2.5, 6)
+        connection_coefficients(0.0, 1.0, 0.0, 2.5, 6)
     with pytest.raises(DomainError):
         connection_coefficients(0.0, 1.0, 0.0, -1.0, 6)
-    build_matching_operator(0.0, 1.0, 0.0, 1.99, 6)  # inside the bound
+    connection_coefficients(0.0, 1.0, 0.0, 1.99, 6)  # inside the bound
 
 
 def test_operator_limit_is_identity():
@@ -81,8 +79,8 @@ def test_operator_limit_is_identity():
     devs = []
     for k in range(10):
         d = 1e-3 * 0.2 ** k
-        op = build_matching_operator(u0 + d, t0 + d, u0, t0, 10)
-        devs.append(np.max(np.sum(np.abs(op.b - np.eye(10)), axis=1)))
+        b = connection_coefficients(u0 + d, t0 + d, u0, t0, 10)
+        devs.append(np.max(np.sum(np.abs(b - np.eye(10)), axis=1)))
     assert all(b < a for a, b in zip(devs, devs[1:]))
     assert devs[-1] < 1e-8
 

@@ -10,7 +10,6 @@ from mmbgk.coupling import basis_transform
 from mmbgk.errors import ConfigError, DomainError, StateError
 from mmbgk.models import (
     EulerModel,
-    euler_system_matrix,
     hme_source,
     hme_system_matrices,
     hme_system_matrix,
@@ -198,18 +197,19 @@ def test_fixed_basis_source_structure():
 
 def test_euler_matrix_literals():
     np.testing.assert_array_equal(
-        euler_system_matrix(np.array([1.0, 0.0, 1.0])),
+        EulerModel().system_matrices(np.array([1.0, 0.0, 1.0])),
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 2.0, 0.0]]),
     )
-    a = euler_system_matrix(np.array([2.0, 1.0, 1.0]))
+    a = EulerModel().system_matrices(np.array([2.0, 1.0, 1.0]))
     np.testing.assert_array_equal(a[1], np.array([0.5, 1.0, 1.0]))
     np.testing.assert_array_equal(a[0], np.array([1.0, 2.0, 0.0]))
     with pytest.raises(StateError):
-        euler_system_matrix(np.array([0.0, 0.0, 1.0]))
+        EulerModel().system_matrices(np.array([0.0, 0.0, 1.0]))
 
 
 def test_euler_eigenvalues():
-    eig = np.sort(np.linalg.eigvals(euler_system_matrix(np.array([1.0, 0.0, 1.0]))).real)
+    a = EulerModel().system_matrices(np.array([1.0, 0.0, 1.0]))
+    eig = np.sort(np.linalg.eigvals(a).real)
     np.testing.assert_allclose(eig, [-math.sqrt(3.0), 0.0, math.sqrt(3.0)], atol=1e-12)
 
 
@@ -220,7 +220,7 @@ def test_euler_equals_adaptive_block_at_equilibrium():
         w = np.zeros(7)
         w[0], w[1], w[2] = rho, u, theta
         np.testing.assert_array_equal(
-            euler_system_matrix(np.array([rho, u, theta])),
+            EulerModel().system_matrices(np.array([rho, u, theta])),
             hme_system_matrix(w)[:3, :3],
         )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmbgk.errors import ConfigError
-from mmbgk.grid import Grid1D, Field, constant_field
+from mmbgk.grid import Grid1D, Field, constant_field, total_mass
 from mmbgk.models import make_model
 from mmbgk.schemes import (
     SimConfig,
@@ -115,18 +115,36 @@ def test_snapshot_times_and_count():
 
 
 def test_equilibrium_is_a_fixed_point_of_every_scheme():
-    for scheme in ALL_SCHEMES:
-        model = {"mmhsm": "hsm", "euler": "euler"}.get(scheme, "hme")
+    cases = [(s, {"mmhsm": "hsm", "euler": "euler"}.get(s, "hme"), None) for s in ALL_SCHEMES]
+    cases.append(("cpi", "hsm", 5))  # fixed-basis CPI with free slots to carry over
+    for scheme, model, n_macro in cases:
         mdl = make_model(model, n_moments=10) if model != "euler" else make_model("euler")
         grid = Grid1D(-10.0, 10.0, 30)
         f = constant_field(grid, mdl.equilibrium(1.0, 0.0, 1.0)[0])
         kw = dict(scheme=scheme, model=model, n_moments=mdl.n_moments,
-                  eps=1e-2, dt_macro=1e-3, t_end=0.05)
+                  eps=1e-2, dt_macro=1e-3, t_end=0.05, n_macro=n_macro)
         if scheme in ("micro", "micro-split"):
             kw["dt_micro"] = 1e-3
         snaps = run(f, SimConfig(**kw))
         drift = np.max(np.abs(snaps[-1].data - f.data))
         assert drift < 1e-13, (scheme, drift)
+
+
+@pytest.mark.parametrize("scheme,model,n_macro", [
+    (s, {"mmhsm": "hsm", "euler": "euler"}.get(s, "hme"), None) for s in ALL_SCHEMES
+] + [("cpi", "hsm", 5)])
+def test_sub_pace_end_time_keeps_the_mass_inflow(scheme, model, n_macro):
+    # t_end = 24.6 macro steps: the run ends with a sub-pace fill, which
+    # must advance the field by the whole remainder
+    u_beam, t_end = 0.5, 0.0123
+    f, _ = _two_beam_field(n_cells=120, model=model, u_beam=u_beam)
+    cfg = _cfg(scheme=scheme, model=model, n_moments=f.n_vars, eps=1e-3,
+               t_end=t_end, n_macro=n_macro)
+    last = run(f, cfg)[-1]
+    assert last.time == t_end
+    inflow = 2.0 * u_beam * t_end
+    gain = total_mass(last) - total_mass(f)
+    assert abs(gain - inflow) <= 1e-11 * inflow, (gain, inflow)
 
 
 def test_mm_step_with_full_micro_window_matches_plain_micro():
