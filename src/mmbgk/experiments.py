@@ -148,28 +148,35 @@ def speedup_bench(eps_list=(1e-3, 1e-4, 1e-5), t_end: float = 0.1):
     """Wall-time of micro, mm, and Euler-only two-beam runs per stiffness.
 
     Timing is single-threaded wall clock; speedup is relative to the
-    MicroExplicit run at the same eps. Runs are repeated until half a second
-    of cumulative wall time (at most five repeats) and the minimum is
-    reported, so sub-second schemes are not at the mercy of scheduler noise.
+    MicroExplicit run at the same eps. Each scheme's runs are repeated until
+    half a second of cumulative wall time (at most five repeats) and the
+    minimum is reported, so sub-second schemes are not at the mercy of
+    scheduler noise. Each repeat runs the eps values back to back, so their
+    minima sample the same host state.
     """
-    results = []
-    for eps in eps_list:
-        timings = {}
-        for scheme in ("micro", "mmhme", "euler"):
+    timings = {}
+    for scheme in ("micro", "mmhme", "euler"):
+        cases = {}
+        for eps in eps_list:
             cfg = TwoBeamConfig(scheme=scheme, eps=eps, t_end=t_end,
                                 dt_micro=eps / 2.0 if scheme == "micro" else None)
-            f0, _ = two_beam_initial(cfg)
-            best, spent = math.inf, 0.0
-            while True:
+            cases[eps] = (cfg, two_beam_initial(cfg)[0])
+        best = dict.fromkeys(eps_list, math.inf)
+        spent = dict.fromkeys(eps_list, 0.0)
+        pending = list(eps_list)
+        while pending:
+            for eps in pending:
+                cfg, f0 = cases[eps]
                 t0 = time.perf_counter()
                 _, reports = run_with_reports(f0, cfg)
                 wall = time.perf_counter() - t0
-                best, spent = min(best, wall), spent + wall
-                if spent >= 0.5 or spent >= 5 * best:
-                    break
-            timings[scheme] = (best, len(reports))
-        micro_time = timings["micro"][0]
+                best[eps], spent[eps] = min(best[eps], wall), spent[eps] + wall
+                timings[scheme, eps] = (best[eps], len(reports))
+            pending = [e for e in pending if spent[e] < 0.5 and spent[e] < 5 * best[e]]
+    results = []
+    for eps in eps_list:
+        micro_time = timings["micro", eps][0]
         for scheme in ("micro", "mmhme", "euler"):
-            wall, steps = timings[scheme]
+            wall, steps = timings[scheme, eps]
             results.append(BenchResult(scheme, eps, wall, steps, micro_time / wall))
     return results

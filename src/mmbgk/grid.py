@@ -12,17 +12,21 @@ Lax-Friedrichs / Lax-Wendroff dissipation (FORCE average):
 Order 2 adds minmod-limited linear reconstruction and the in-cell
 non-conservative term A(w_i) sigma_i. Boundaries are copy-outflow.
 
-A(w) is never assembled: the step works on moment-major (M, n) copies of
-the cells and applies each model's flux_operator, which costs O(n M) per
-product. The dense system_matrices builders are kept as the test oracle and
-for spectra. Field.data stays cell-major (n, M).
+A(w) is never assembled: each model's flux_operator applies it in O(n M)
+per product on moment-major (M, n) arrays; the dense system_matrices
+builders are kept as the test oracle and for spectra. The one FORCE body is
+MomentBuffer.transport. A MomentBuffer holds the cells moment-major with
+their ghosts and the step's work arrays, and advances them in place, so a
+run that owns one keeps its state there from step to step and converts to
+a cell-major Field only where a caller reads one. spatial_update is the
+single-step form on a Field. Field.data stays cell-major (n, M).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StepError
+from .errors import ConfigError, NumericError, StateError, StepError
 
 
 @dataclass(frozen=True)
@@ -78,67 +82,130 @@ def _minmod(a, b):
     return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
 
 
-def _ghosted(w, g):
-    """Moment-major (M, n + 2g) copy of the (n, M) cells with g copy-outflow
-    ghosts per side."""
-    n, m = w.shape
-    we = np.empty((m, n + 2 * g))
-    we[:, g:g + n] = w.T
-    we[:, :g] = w[:1].T
-    we[:, g + n:] = w[-1:].T
-    return we
+class MomentBuffer:
+    """The cells of one model on one grid, moment-major with ghosts, advanced
+    in place.
+
+    `we` has shape (M, n + 2g): g copy-outflow ghosts per side (g = order)
+    around the cells `w`, a view. The FORCE work arrays are allocated with
+    it, so a run that owns one buffer per model steps without per-step
+    allocation of the state, its ghosts or its cell-major copies.
+    """
+
+    def __init__(self, grid: Grid1D, model, order: int = 1):
+        if order not in (1, 2):
+            raise ConfigError(f"order must be 1 or 2, got {order}")
+        n, m, g = grid.n_cells, model.n_vars, order
+        self.model, self.order, self.dx = model, order, grid.dx
+        self.we = np.empty((m, n + 2 * g))
+        self.w = self.we[:, g:g + n]
+        # interface arrays (M, n + 1) and the cell bracket (M, n)
+        self._delta, self._mean = np.empty((2, m, n + 1))
+        self._bracket = np.empty((m, n))
+
+    def load(self, data):
+        """Copy cell-major (n, M) states into the cells."""
+        self.w[...] = data.T
+
+    def cells(self) -> np.ndarray:
+        """Cell-major (n, M) C-ordered copy of the cells."""
+        return np.ascontiguousarray(self.w.T)
+
+    def check_finite(self, t: float):
+        """NumericError naming the first cell with a non-finite entry."""
+        if not np.isfinite(self.w).all():
+            bad = int(np.argwhere(~np.isfinite(self.w).all(axis=0))[0, 0])
+            raise NumericError(f"non-finite state in cell {bad} at t={t} (transport)")
+
+    def check(self, t: float, phase: str):
+        """The model's state check (finite, rho > 0, theta > 0) on the cells;
+        the StateError names the cell, the time and the phase."""
+        try:
+            self.model.validate(self.w.T)
+        except StateError as exc:
+            raise StateError(f"{exc} at t={t:g} ({phase})") from exc
+
+    def max_speed(self) -> float:
+        """Largest wave speed of the cells."""
+        return float(self.model.wave_speeds(self.w.T).max())
+
+    def transport(self, dt: float, t: float, smax: float = None):
+        """One FORCE step of size dt on the cells, in place; no source.
+
+        smax is the largest wave speed of the cells when the caller already
+        has it. dt * smax decides the CFL check exactly as the per-cell
+        products would, since rounding is monotone.
+        """
+        we, w, g, model, dx = self.we, self.w, self.order, self.model, self.dx
+        n = w.shape[1]
+        we[:, :g] = we[:, g:g + 1]
+        we[:, g + n:] = we[:, g + n - 1:g + n]
+        if smax is None:
+            smax = self.max_speed()
+        if dt * smax > dx * (1.0 + 1e-12):
+            speeds = model.wave_speeds(w.T)
+            bad = int(np.argmax(dt * speeds > dx * (1.0 + 1e-12)))
+            raise StepError(f"CFL violation in cell {bad} at t={t:g} (transport): "
+                            f"dt={dt:g} exceeds {dx / speeds[bad]:g}")
+        nu = dt / dx
+        if g == 1:
+            wl, wr = we[:, :-1], we[:, 1:]
+        else:
+            d = np.diff(we, axis=1)
+            sig = _minmod(d[:, :-1], d[:, 1:])  # slopes of cells we[:, 1:-1]
+            # half-step predictor keeps the update second order in time
+            ev = we[:, 1:-1] - (0.5 * nu) * model.flux_operator(we[:, 1:-1])(sig)
+            wl = ev[:, :-1] + 0.5 * sig[:, :-1]
+            wr = ev[:, 1:] - 0.5 * sig[:, 1:]
+        delta = np.subtract(wr, wl, out=self._delta)
+        mean = np.add(wl, wr, out=self._mean)
+        mean *= 0.5
+        ahat = model.flux_operator(mean)
+        ad = ahat(delta)
+        # Q delta = 1/2 (delta / nu + nu A_hat (A_hat delta)), then
+        # D^+- = 1/2 (A_hat delta +- Q delta), each product rounded as written
+        q = ahat(ad)
+        q *= nu
+        delta /= nu
+        q += delta
+        q *= 0.5
+        dplus = np.add(ad, q, out=delta)
+        dplus *= 0.5
+        dminus = np.subtract(ad, q, out=ad)
+        dminus *= 0.5
+        bracket = np.add(dplus[:, :-1], dminus[:, 1:], out=self._bracket)
+        if g == 2:
+            bracket += model.flux_operator(ev[:, 1:-1])(sig[:, 1:-1])
+        bracket *= nu
+        w -= bracket
 
 
 def spatial_update(f: Field, model, dt: float, order: int = 1) -> Field:
     """One explicit transport step of size dt; copy-outflow ghosts; no source.
 
-    model.flux_operator(w) takes moment-major states (M, n) and returns a
-    function mapping moment-major v to A(w) v.
+    The single-step form of MomentBuffer.transport: the input is checked for
+    finiteness and the result with model.validate. model.flux_operator(w)
+    takes moment-major states (M, n) and returns a function mapping
+    moment-major v to A(w) v.
     """
-    if order not in (1, 2):
-        raise ConfigError(f"order must be 1 or 2, got {order}")
-    w = f.data
-    if not np.isfinite(w).all():
-        bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
-        raise NumericError(f"non-finite state in cell {bad} at t={f.time}")
-    dx = f.grid.dx
-    speeds = model.wave_speeds(w)
-    viol = dt * speeds > dx * (1.0 + 1e-12)
-    if viol.any():
-        bad = int(np.argmax(viol))
-        raise StepError(
-            f"CFL violation in cell {bad}: dt={dt:g} exceeds {dx / speeds[bad]:g}"
-        )
-    nu = dt / dx
-    we = _ghosted(w, order)
-    if order == 1:
-        wl, wr = we[:, :-1], we[:, 1:]
-    else:
-        d = np.diff(we, axis=1)
-        sig = _minmod(d[:, :-1], d[:, 1:])  # slopes of cells we[:, 1:-1]
-        # half-step predictor keeps the update second order in time
-        ev = we[:, 1:-1] - (0.5 * nu) * model.flux_operator(we[:, 1:-1])(sig)
-        wl = ev[:, :-1] + 0.5 * sig[:, :-1]
-        wr = ev[:, 1:] - 0.5 * sig[:, 1:]
-    delta = wr - wl
-    ahat = model.flux_operator(0.5 * (wl + wr))
-    ad = ahat(delta)
-    qd = 0.5 * (delta / nu + nu * ahat(ad))
-    dplus = 0.5 * (ad + qd)
-    dminus = 0.5 * (ad - qd)
-    bracket = dplus[:, :-1] + dminus[:, 1:]
-    if order == 2:
-        bracket = bracket + model.flux_operator(ev[:, 1:-1])(sig[:, 1:-1])
-    new = np.ascontiguousarray((we[:, order:-order] - nu * bracket).T)
-    model.validate(new)
-    return Field(f.grid, new, f.time + dt)
+    buf = MomentBuffer(f.grid, model, order)
+    buf.load(f.data)
+    buf.check_finite(f.time)
+    buf.transport(dt, f.time)
+    buf.check(f.time + dt, "transport")
+    return Field(f.grid, buf.cells(), f.time + dt)
+
+
+def cfl_limit(cfl: float, dx: float, smax: float) -> float:
+    """cfl * dx / smax, the largest stable dt for the largest wave speed smax."""
+    if not 0.0 < cfl <= 1.0:
+        raise ConfigError(f"cfl must lie in (0, 1], got {cfl}")
+    return cfl * dx / smax
 
 
 def cfl_timestep(f: Field, model, cfl: float) -> float:
     """Largest stable dt = cfl * dx / max lambda over cells."""
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError(f"cfl must lie in (0, 1], got {cfl}")
-    return cfl * f.grid.dx / float(np.max(model.wave_speeds(f.data)))
+    return cfl_limit(cfl, f.grid.dx, float(np.max(model.wave_speeds(f.data))))
 
 
 def apply_source(f: Field, model, eps: float, dt: float) -> Field:

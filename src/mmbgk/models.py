@@ -41,7 +41,8 @@ def _as_batch(w, n_vars_min):
 
 
 def _check_rho_theta(rho, theta, kind):
-    if (rho <= 0.0).any() or (theta <= 0.0).any():
+    # fmin skips a NaN operand: true exactly where rho <= 0 or theta <= 0
+    if (np.fmin(rho, theta) <= 0.0).any():
         raise StateError(f"{kind} state needs rho > 0 and theta > 0")
 
 
@@ -50,7 +51,7 @@ def _check_state(w, rho, theta, what="rho or theta"):
     if not np.isfinite(w).all():
         bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
         raise StateError(f"non-finite state in cell {bad}")
-    if (rho <= 0.0).any() or (theta <= 0.0).any():
+    if (np.fmin(rho, theta) <= 0.0).any():
         bad = int(np.argwhere((rho <= 0.0) | (theta <= 0.0))[0, 0])
         raise StateError(f"{what} <= 0 in cell {bad}")
 
@@ -124,51 +125,6 @@ def _euler_rows(out, v, rho, u, theta_rho, two_theta):
     out[2] = two_theta * v1 + u * v2
 
 
-def hme_flux_operator(wt):
-    """v -> A(w) v for moment-major states wt of shape (M, n), matrix-free.
-
-    Rows 0-2 are the Euler rows plus the heat-flux column 6/rho on row 2.
-    Each row b >= 3 has the four dense columns 0-3 and a band: theta below
-    the diagonal (from column 4 on), u on it and b + 1 above it. The
-    coefficients are built once here and shared by every product.
-    """
-    wt = np.asarray(wt, dtype=float)
-    m = wt.shape[0]
-    if m < 4:
-        raise DomainError(f"state needs at least 4 entries, got {m}")
-    rho, u, theta = wt[0], wt[1], wt[2]
-    _check_rho_theta(rho, theta, "hme")
-    fbar = wt.copy()
-    fbar[1:3] = 0.0
-    theta_rho, two_theta, six_rho = theta / rho, 2.0 * theta, 6.0 / rho
-    b = np.arange(3.0, m)[:, None]
-    upper = b[:-1] + 1.0
-    # columns 0-3 of rows b = 3..M-1; the last row drops column 1 and
-    # takes -f_{M-2} in column 2 (hyperbolicity regularization)
-    c0 = fbar[2:m - 1] * -theta_rho
-    c1 = upper * fbar[3:m - 1]
-    c2 = (0.5 * b - 0.5) * fbar[2:m - 1]
-    c2 += (0.5 * theta) * fbar[:m - 3]
-    c2[-1] = -fbar[m - 2] + theta * fbar[m - 4] / 2.0
-    c3 = fbar[1:m - 2] * (-0.5 * six_rho)
-
-    def apply(v):
-        out = np.empty_like(v, dtype=float)
-        _euler_rows(out, v, rho, u, theta_rho, two_theta)
-        out[2] += six_rho * v[3]
-        tail = out[3:]
-        np.multiply(u, v[3:], out=tail)
-        tail += c0 * v[0]
-        tail[:-1] += c1 * v[1]
-        tail += c2 * v[2]
-        tail += c3 * v[3]
-        out[4:] += theta * v[3:-1]
-        tail[:-1] += upper * v[4:]
-        return out
-
-    return apply
-
-
 def hme_source(w, eps) -> np.ndarray:
     """-(1/eps) diag(0,0,0,1,...,1) w, the BGK term in adaptive variables."""
     if not eps > 0.0:
@@ -228,12 +184,54 @@ class HMEModel:
             raise ConfigError(f"hme needs M >= 4, got {n_moments}")
         self.n_moments = n_moments
         self.n_vars = n_moments
+        # per-row constants of the flux operator, rows b = 3..M-1
+        b = np.arange(3.0, n_moments)[:, None]
+        self._upper = b[:-1] + 1.0
+        self._c2_scale = 0.5 * b - 0.5
 
     def system_matrices(self, w):
         return hme_system_matrices(w)
 
     def flux_operator(self, wt):
-        return hme_flux_operator(wt)
+        """v -> A(w) v for moment-major states wt of shape (M, n), matrix-free.
+
+        Rows 0-2 are the Euler rows plus the heat-flux column 6/rho on row 2.
+        Each row b >= 3 has the four dense columns 0-3 and a band: theta below
+        the diagonal (from column 4 on), u on it and b + 1 above it. The
+        coefficients are built once here and shared by every product.
+        """
+        wt = np.asarray(wt, dtype=float)
+        m = self.n_vars
+        rho, u, theta = wt[0], wt[1], wt[2]
+        _check_rho_theta(rho, theta, "hme")
+        fbar = wt.copy()
+        fbar[1:3] = 0.0
+        theta_rho, two_theta, six_rho = theta / rho, 2.0 * theta, 6.0 / rho
+        upper = self._upper
+        # columns 0-3 of rows b = 3..M-1; the last row drops column 1 and
+        # takes -f_{M-2} in column 2 (hyperbolicity regularization)
+        c0 = fbar[2:m - 1] * -theta_rho
+        c1 = upper * fbar[3:m - 1]
+        c2 = self._c2_scale * fbar[2:m - 1]
+        c2 += (0.5 * theta) * fbar[:m - 3]
+        c2[-1] = -fbar[m - 2] + theta * fbar[m - 4] / 2.0
+        c3 = fbar[1:m - 2] * (-0.5 * six_rho)
+
+        def apply(v):
+            out = np.empty_like(v, dtype=float)
+            _euler_rows(out, v, rho, u, theta_rho, two_theta)
+            out[2] += six_rho * v[3]
+            tail = out[3:]
+            np.multiply(u, v[3:], out=tail)
+            tail += c0 * v[0]
+            tail[:-1] += c1 * v[1]
+            tail += c2 * v[2]
+            tail += c3 * v[3]
+            out[4:] += theta * v[3:-1]
+            tail[:-1] += upper * v[4:]
+            return out
+
+        return apply
 
     def wave_speeds(self, w):
         """Per-cell bound |u| + sqrt(theta) r_M with r_M the largest He_M root."""
@@ -250,12 +248,15 @@ class HMEModel:
         return self._relax(w, eps, math.exp(-dt / eps))
 
     def _relax(self, w, eps, factor):
-        """Scale the free slots by the decay factor of the relaxation step."""
-        if math.isinf(eps):
-            return w.copy()
         out = w.copy()
-        out[..., 3:] *= factor
+        self.relax_moments(out.T, eps, factor)
         return out
+
+    def relax_moments(self, wt, eps, factor):
+        """Scale the free slots of moment-major states wt (M, n) in place by
+        the decay factor of the relaxation step."""
+        if not math.isinf(eps):
+            wt[3:] *= factor
 
     def primitive_moments(self, w):
         """(rho, u, theta) per cell, shape (n, 3)."""
@@ -311,12 +312,19 @@ class HSMModel:
         return self._relax(f, eps, math.exp(-dt / eps))
 
     def _relax(self, f, eps, factor):
-        """Scale the distance to the local Maxwellian by the decay factor."""
+        out = f.copy()
+        self.relax_moments(out.T, eps, factor)
+        return out
+
+    def relax_moments(self, ft, eps, factor):
+        """Scale the distance of moment-major states ft (M, n) to their local
+        Maxwellian by the decay factor, in place."""
         if math.isinf(eps):
-            return f.copy()
+            return
+        f = ft.T
         rho, u, theta = hsm_primitives(f)
         m = maxwellian_coefficients(rho, u, theta, self.n_vars)
-        return m + (f - m) * factor
+        f[...] = m + (f - m) * factor
 
     def primitive_moments(self, f):
         f = np.atleast_2d(np.asarray(f, dtype=float))

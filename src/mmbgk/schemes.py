@@ -10,6 +10,16 @@ leftover interval; PI and CPI extrapolate the first L variables linearly
 from the last two micro states. PI carries all L = M variables, which leaves
 no slot to match, so CPI at L = M is PI by construction. micro, micro-split
 and euler are the single-model references the experiments compare against.
+
+A run keeps its state in a moment-major grid.MomentBuffer that the runner
+allocates once (a second one holds the mm schemes' Euler leftover). Every
+stretch of transport steps, micro or Euler, advances that buffer in place.
+The state is converted to a cell-major Field only for snapshots, and at a
+macro step boundary restriction and matching read it through a transposed
+view. Input finiteness is checked once, when the state enters the buffer;
+after that, each step's result is checked once: after the source for a
+micro step, after the transport for an Euler substep. Errors raised there
+name the cell, the time and the phase.
 """
 
 from dataclasses import dataclass
@@ -17,8 +27,14 @@ import math
 import time
 
 from .coupling import match_hsm_states, pi_extrapolate, transform_state_slots
-from .errors import ConfigError
-from .grid import Field, apply_source, apply_source_exact, cfl_timestep, spatial_update
+from .errors import ConfigError, StateError
+# spatial_update, apply_source and apply_source_exact are the single-step
+# forms of the buffer loop below; they stay module globals here, where
+# perfbench's tracer patches them
+from .grid import (  # noqa: F401
+    Field, MomentBuffer, apply_source, apply_source_exact, cfl_limit, cfl_timestep,
+    spatial_update,
+)
 from .models import EulerModel, make_model
 
 SCHEMES = ("mmhme", "mmhsm", "pi", "cpi", "micro", "micro-split", "euler")
@@ -63,7 +79,8 @@ def scheme_model(cfg: SimConfig):
 
 
 class _Runner:
-    """Config resolution + step dispatch shared by run() and the step [OP]s."""
+    """Config resolution, the run's buffers and the step dispatch shared by
+    run() and the single-step functions."""
 
     def __init__(self, field0: Field, cfg: SimConfig):
         if cfg.scheme not in SCHEMES:
@@ -78,6 +95,7 @@ class _Runner:
             raise ConfigError(f"dt_macro must be positive, got {cfg.dt_macro}")
         self.cfg = cfg
         self.scheme = cfg.scheme
+        self.macro = self.scheme in _MACRO_SCHEMES
         # the macro advance: extrapolation (pi, cpi) or restrict + Euler (mm)
         self.extrapolate = self.scheme in ("pi", "cpi")
         self.euler = EulerModel()
@@ -102,12 +120,15 @@ class _Runner:
         self.n_macro = l
         self.k = cfg.micro_steps
         self.dt_micro = self._resolve_dt_micro(field0)
-        if self.scheme in _MACRO_SCHEMES:
+        if self.macro:
             if self.k * self.dt_micro > cfg.dt_macro * (1.0 + 1e-12):
                 raise ConfigError(
                     f"micro work {self.k}*{self.dt_micro:g} exceeds dt_macro={cfg.dt_macro:g}"
                 )
-        self.step = self._macro_step if self.scheme in _MACRO_SCHEMES else self._plain_step
+        # the state lives in these moment-major buffers from entry to the end
+        self.buf = MomentBuffer(field0.grid, self.model, cfg.order)
+        if self.scheme in ("mmhme", "mmhsm"):
+            self.euler_buf = MomentBuffer(field0.grid, self.euler, cfg.order)
         self.pace = self.dt_micro if self.scheme in ("micro", "micro-split") else cfg.dt_macro
 
     def _resolve_dt_micro(self, field0: Field) -> float:
@@ -129,16 +150,35 @@ class _Runner:
             return limit
         return min(self.cfg.eps / 2.0, limit)
 
-    def _micro(self, f: Field, dt: float, n: int):
-        """n transport + relaxation steps of size dt; returns the last state
-        and the one before it, which PI/CPI extrapolate from."""
-        source = apply_source_exact if self.scheme == "micro-split" else apply_source
-        prev = f
-        for _ in range(n):
-            prev = f
-            f = spatial_update(f, self.model, dt, self.cfg.order)
-            f = source(f, self.model, self.cfg.eps, dt)
-        return f, prev
+    def _micro(self, t: float, dt: float, n: int, keep: int = 0):
+        """n transport + relaxation steps of size dt on the buffer from time t.
+
+        Each step is checked once, after the source. Returns the first keep
+        rows of the state before the last step (moment-major), which PI/CPI
+        extrapolate from, or None.
+        """
+        buf, model, eps = self.buf, self.model, self.cfg.eps
+        exact = self.scheme == "micro-split"
+        factor = math.exp(-dt / eps) if exact else 1.0 - dt / eps
+        # a decay factor in [-1, 1] cannot make a valid state invalid, so a
+        # failed check is charged to the transport; a larger one is the
+        # unstable forward-Euler source (dt > 2 eps)
+        phase = "transport" if abs(factor) <= 1.0 else "source"
+        prev = None
+        for i in range(n):
+            if keep and i == n - 1:
+                prev = buf.w[:keep].copy()
+            buf.transport(dt, t)
+            t += dt
+            try:
+                model.relax_moments(buf.w, eps, factor)
+            except StateError:
+                # HSM relaxes towards the Maxwellian of the transported
+                # state; name the cell whose recovered rho or theta failed
+                buf.check(t, "transport")
+                raise
+            buf.check(t, phase)
+        return prev
 
     def _leftover(self, dt_total: float) -> float:
         tau = dt_total - self.k * self.dt_micro
@@ -150,70 +190,91 @@ class _Runner:
             tau = 0.0
         return tau
 
-    def _euler_advance(self, f: Field, dt_total: float) -> Field:
+    def _euler_advance(self, buf: MomentBuffer, t: float, dt_total: float) -> float:
+        """Euler transport of buf over dt_total in CFL-limited substeps; each
+        substep's size and CFL check share one wave-speed pass. Returns the
+        time reached, accumulated substep by substep."""
         remaining = dt_total
         while remaining > dt_total * 1e-12:
-            step = min(remaining, cfl_timestep(f, self.euler, self.cfg.cfl))
-            f = spatial_update(f, self.euler, step, self.cfg.order)
+            smax = buf.max_speed()
+            step = min(remaining, cfl_limit(self.cfg.cfl, buf.dx, smax))
+            buf.transport(step, t, smax)
+            t += step
+            buf.check(t, "transport")
             remaining -= step
-        return f
+        return t
 
-    def _macro_step(self, f: Field, dt_total: float):
+    def _macro_step(self, t: float, dt_total: float):
         """Micro steps, macro advance of the leading n_macro variables, match."""
-        t_start, l = f.time, self.n_macro
+        l = self.n_macro
         rep = StepReport(dt=dt_total, micro_steps=self.k)
         t0 = time.perf_counter()
-        f, prev = self._micro(f, self.dt_micro, self.k)
+        prev = self._micro(t, self.dt_micro, self.k, keep=l if self.extrapolate else 0)
+        w = self.buf.w.T  # the last micro state, cell-major view
         t1 = t2 = time.perf_counter()
         tau = self._leftover(dt_total)
         if self.extrapolate:
             dt_eff = self.k * self.dt_micro + tau
-            macro = pi_extrapolate(f.data[:, :l], prev.data[:, :l], self.dt_micro, dt_eff, self.k)
+            macro = pi_extrapolate(w[:, :l], prev.T, self.dt_micro, dt_eff, self.k)
         else:
-            macro = self.model.primitive_moments(f.data)
+            macro = self.model.primitive_moments(w)
             t2 = time.perf_counter()
             if tau > 0.0:
-                macro = self._euler_advance(Field(f.grid, macro, f.time), tau).data
+                self.euler_buf.load(macro)
+                self._euler_advance(self.euler_buf, t + self.k * self.dt_micro, tau)
+                macro = self.euler_buf.cells()
         t3 = time.perf_counter()
         if self.extrapolate and l == self.model.n_vars:
             # no free slots, so no matching and no theta_prior < 2 theta_new
             # bound: CPI at L = M is PI
             new = macro
         elif self.model.kind == "hme":
-            new = transform_state_slots(f.data, macro[:, :3], first_free=l)
+            new = transform_state_slots(w, macro[:, :3], first_free=l)
             new[:, 3:l] = macro[:, 3:]
         elif not self.extrapolate:
-            new = match_hsm_states(f.data, macro)
+            new = match_hsm_states(w, macro)
         else:
             # fixed basis: the free slots carry over unchanged
-            new = f.data.copy()
+            new = w.copy()
             new[:, :l] = macro
         self.model.validate(new)
-        out = Field(f.grid, new, t_start + dt_total)
+        self.buf.load(new)
         t4 = time.perf_counter()
         rep.t_micro, rep.t_restrict = t1 - t0, t2 - t1
         rep.t_macro, rep.t_match = t3 - t2, t4 - t3
-        return out, rep
+        return t + dt_total, rep
 
-    def _plain_step(self, f: Field, dt_total: float):
+    def step(self, t: float, dt_total: float):
+        """One step of dt_total from time t on the buffer; returns the time
+        reached and the step's report."""
+        if self.macro:
+            return self._macro_step(t, dt_total)
+        return self._plain_step(t, dt_total)
+
+    def _plain_step(self, t: float, dt_total: float):
         """One micro step (micro, micro-split) or one Euler advance (euler)."""
         t0 = time.perf_counter()
         if self.scheme == "euler":
-            f = self._euler_advance(f, dt_total)
-            return f, StepReport(dt_total, 0, t_macro=time.perf_counter() - t0)
-        f, _ = self._micro(f, dt_total, 1)
-        return f, StepReport(dt_total, 1, t_micro=time.perf_counter() - t0)
+            t = self._euler_advance(self.buf, t, dt_total)
+            return t, StepReport(dt_total, 0, t_macro=time.perf_counter() - t0)
+        self._micro(t, dt_total, 1)
+        return t + dt_total, StepReport(dt_total, 1, t_micro=time.perf_counter() - t0)
 
-    def _micro_fill(self, f: Field, remainder: float) -> Field:
+    def _micro_fill(self, t: float, remainder: float):
         """Cover a sub-pace interval with plain micro (or euler) stepping."""
         if self.scheme in ("euler", "micro-split"):
-            return self._plain_step(f, remainder)[0]
+            self._plain_step(t, remainder)
+            return
         n_full = int(math.floor(remainder / self.dt_micro * (1.0 + 1e-12)))
-        f, _ = self._micro(f, self.dt_micro, n_full)
+        self._micro(t, self.dt_micro, n_full)
         rem = remainder - n_full * self.dt_micro
         if rem > self.dt_micro * 1e-9:
-            f, _ = self._micro(f, rem, 1)
-        return f
+            self._micro(t + n_full * self.dt_micro, rem, 1)
+
+    def enter(self, field: Field):
+        """Load field into the buffer; the one finiteness scan of the input."""
+        self.buf.load(field.data)
+        self.buf.check_finite(field.time)
 
     def run(self, field0: Field):
         cfg = self.cfg
@@ -221,17 +282,17 @@ class _Runner:
             raise ConfigError(f"t_end must be >= 0, got {cfg.t_end}")
         if cfg.n_snapshots < 1:
             raise ConfigError(f"n_snapshots must be >= 1, got {cfg.n_snapshots}")
-        f = field0.copy()
-        snaps = [f.copy()]
+        snaps = [field0.copy()]
         reports = []
         if cfg.t_end == 0.0:
             return snaps, reports
-        t0 = field0.time
+        self.enter(field0)
+        t = t0 = field0.time
         targets = [t0 + cfg.t_end * i / cfg.n_snapshots for i in range(1, cfg.n_snapshots + 1)]
         targets[-1] = t0 + cfg.t_end
         for target in targets:
             while True:
-                r = target - f.time
+                r = target - t
                 # remainders below 1e-6 of the pace are absorbed into the
                 # time stamp: the state change over r is invisible at any
                 # tolerance, while a FORCE substep at nu -> 0 applies a
@@ -242,42 +303,49 @@ class _Runner:
                     # fold sub-permille overshoot into the final step so the
                     # output stays continuous across step-count seams
                     dt_step = r if r <= self.pace * (1.0 + 1e-3) else self.pace
-                    f, rep = self.step(f, dt_step)
+                    t, rep = self.step(t, dt_step)
                     reports.append(rep)
                     continue
                 # final sub-pace interval: macro schemes can shrink one step
                 # as long as it still holds the micro work, otherwise the
                 # interval is filled with plain micro simulation
-                if self.scheme in _MACRO_SCHEMES and r > self.k * self.dt_micro * (1.0 + 1e-12):
-                    f, rep = self.step(f, r)
-                    reports.append(rep)
+                if self.macro and r > self.k * self.dt_micro * (1.0 + 1e-12):
+                    reports.append(self.step(t, r)[1])
                 else:
-                    f = self._micro_fill(f, r)
+                    self._micro_fill(t, r)
                 break
-            f.time = target
-            snaps.append(f.copy())
+            t = target
+            snaps.append(Field(field0.grid, self.buf.cells(), t))
         return snaps, reports
+
+
+def _single_step(field: Field, cfg: SimConfig):
+    """One step of size cfg.dt_macro from field; returns (Field, StepReport)."""
+    runner = _Runner(field, cfg)
+    runner.enter(field)
+    t, rep = runner.step(field.time, cfg.dt_macro)
+    return Field(field.grid, runner.buf.cells(), t), rep
 
 
 def mm_step(field: Field, cfg: SimConfig):
     """One hierarchical micro-macro step of size cfg.dt_macro."""
     if cfg.scheme not in ("mmhme", "mmhsm"):
         raise ConfigError(f"mm_step needs an mm scheme, got {cfg.scheme!r}")
-    return _Runner(field, cfg).step(field, cfg.dt_macro)
+    return _single_step(field, cfg)
 
 
 def pi_step(field: Field, cfg: SimConfig):
     """One projective-integration step of size cfg.dt_macro."""
     if cfg.scheme != "pi":
         raise ConfigError(f"pi_step needs scheme 'pi', got {cfg.scheme!r}")
-    return _Runner(field, cfg).step(field, cfg.dt_macro)
+    return _single_step(field, cfg)
 
 
 def cpi_step(field: Field, cfg: SimConfig):
     """One coarse projective-integration step of size cfg.dt_macro."""
     if cfg.scheme != "cpi":
         raise ConfigError(f"cpi_step needs scheme 'cpi', got {cfg.scheme!r}")
-    return _Runner(field, cfg).step(field, cfg.dt_macro)
+    return _single_step(field, cfg)
 
 
 def run_with_reports(field0: Field, cfg: SimConfig):

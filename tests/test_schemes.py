@@ -1,10 +1,17 @@
 """Time-stepping schemes: micro, macro, micro-macro, and projective variants."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mmbgk.errors import ConfigError
-from mmbgk.grid import Grid1D, Field, constant_field, total_mass
+from mmbgk import schemes
+from mmbgk.coupling import match_hsm_states, pi_extrapolate, transform_state_slots
+from mmbgk.errors import ConfigError, StateError, StepError
+from mmbgk.grid import (
+    Grid1D, Field, apply_source, apply_source_exact, cfl_timestep, constant_field,
+    spatial_update, total_mass,
+)
 from mmbgk.models import make_model
 from mmbgk.schemes import (
     SimConfig,
@@ -242,3 +249,122 @@ def test_order_two_runs_every_scheme():
                                eps=1e-3)
         snaps = run(f, cfg)
         assert np.all(np.isfinite(snaps[-1].data)), scheme
+
+
+# ------------------------------------------------- loop against single steps
+
+
+def _reference_run(f, cfg):
+    """run_with_reports composed from the public single steps on cell-major
+    Fields: spatial_update then apply_source (apply_source_exact for
+    micro-split) per micro step, cfl_timestep + spatial_update per Euler
+    substep. Returns the snapshots and the number of reported steps."""
+    r = schemes._Runner(f, cfg)  # resolved dt_micro, K, L and pace
+    model, order, eps, l = r.model, cfg.order, cfg.eps, r.n_macro
+    source = apply_source_exact if cfg.scheme == "micro-split" else apply_source
+
+    def micro(f, dt, n):
+        prev = f
+        for _ in range(n):
+            prev = f
+            f = source(spatial_update(f, model, dt, order), model, eps, dt)
+        return f, prev
+
+    def euler(f, dt_total):
+        remaining = dt_total
+        while remaining > dt_total * 1e-12:
+            step = min(remaining, cfl_timestep(f, r.euler, cfg.cfl))
+            f = spatial_update(f, r.euler, step, order)
+            remaining -= step
+        return f
+
+    def macro_step(f, dt_total):
+        t_start = f.time
+        f, prev = micro(f, r.dt_micro, r.k)
+        tau = r._leftover(dt_total)
+        if r.extrapolate:
+            macro = pi_extrapolate(f.data[:, :l], prev.data[:, :l], r.dt_micro,
+                                   r.k * r.dt_micro + tau, r.k)
+        else:
+            macro = model.primitive_moments(f.data)
+            if tau > 0.0:
+                macro = euler(Field(f.grid, macro, f.time), tau).data
+        if r.extrapolate and l == model.n_vars:
+            new = macro
+        elif model.kind == "hme":
+            new = transform_state_slots(f.data, macro[:, :3], first_free=l)
+            new[:, 3:l] = macro[:, 3:]
+        elif not r.extrapolate:
+            new = match_hsm_states(f.data, macro)
+        else:
+            new = f.data.copy()
+            new[:, :l] = macro
+        return Field(f.grid, new, t_start + dt_total)
+
+    def step(f, dt):
+        if r.macro:
+            return macro_step(f, dt)
+        return euler(f, dt) if cfg.scheme == "euler" else micro(f, dt, 1)[0]
+
+    def fill(f, rem):
+        if cfg.scheme in ("euler", "micro-split"):
+            return step(f, rem)
+        n_full = int(math.floor(rem / r.dt_micro * (1.0 + 1e-12)))
+        f = micro(f, r.dt_micro, n_full)[0]
+        rest = rem - n_full * r.dt_micro
+        return micro(f, rest, 1)[0] if rest > r.dt_micro * 1e-9 else f
+
+    snaps, n_steps = [f.copy()], 0
+    targets = [f.time + cfg.t_end * i / cfg.n_snapshots for i in range(1, cfg.n_snapshots + 1)]
+    targets[-1] = f.time + cfg.t_end
+    for target in targets:
+        while True:
+            rem = target - f.time
+            if rem <= r.pace * 1e-6:
+                break
+            if rem >= r.pace * (1.0 - 1e-12):
+                f = step(f, rem if rem <= r.pace * (1.0 + 1e-3) else r.pace)
+                n_steps += 1
+                continue
+            if r.macro and rem > r.k * r.dt_micro * (1.0 + 1e-12):
+                f = step(f, rem)
+                n_steps += 1
+            else:
+                f = fill(f, rem)
+            break
+        f.time = target
+        snaps.append(f.copy())
+    return snaps, n_steps
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("scheme,model,n_macro", [
+    (s, {"mmhsm": "hsm", "euler": "euler"}.get(s, "hme"), None) for s in ALL_SCHEMES
+] + [("pi", "hsm", None), ("cpi", "hme", 5)])
+def test_buffer_loop_matches_single_step_composition(scheme, model, n_macro, order, eps):
+    # 24.6 macro steps: full steps, a shrunk last macro step or a sub-pace
+    # fill; at eps = 1e-4 the mm schemes also run the Euler leftover
+    f, _ = _two_beam_field(n_cells=120, model=model)
+    cfg = _cfg(scheme=scheme, model=model, n_moments=f.n_vars, eps=eps, order=order,
+               t_end=0.0123, n_snapshots=3, n_macro=n_macro)
+    snaps, reports = run_with_reports(f, cfg)
+    ref, n_steps = _reference_run(f, cfg)
+    assert len(reports) == n_steps
+    assert [s.time for s in snaps] == [s.time for s in ref]
+    for a, b in zip(snaps, ref):
+        np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_cfl_violation_in_the_loop_names_cell_and_time():
+    f, _ = _two_beam_field(n_cells=100)
+    with pytest.raises(StepError, match=r"CFL violation in cell \d+ at t=0 \(transport\)"):
+        run(f, _cfg(scheme="micro", dt_micro=0.05, t_end=0.1))
+
+
+def test_invalid_state_in_the_loop_names_cell_time_and_phase():
+    # dt = 100 eps: the forward-Euler source amplifies the free moments
+    # by 99 per step until rho or theta turns negative
+    f, _ = _two_beam_field(n_cells=100)
+    with pytest.raises(StateError, match=r"<= 0 in cell \d+ at t=[0-9.e-]+ \(source\)"):
+        run(f, _cfg(scheme="micro", dt_micro=1e-3, eps=1e-5, t_end=0.5))
