@@ -33,17 +33,26 @@ def _fmt(v) -> str:
     return format(float(v), ".17g")
 
 
+_SNAPSHOT_ROW = ",".join(["%.17g"] * 6) + "\n"
+
+
 def write_csv(obj, path) -> None:
-    """Write a MomentSnapshot or a (header, rows) table as UTF-8 CSV."""
+    """Write a MomentSnapshot or a (header, rows) table as UTF-8 CSV.
+
+    The whole text is formatted before the file is opened, so a value that
+    cannot be formatted leaves no file behind.
+    """
     if isinstance(obj, MomentSnapshot):
-        header = "x,rho,u,theta,p,q"
-        rows = zip(obj.x, obj.rho, obj.u, obj.theta, obj.p, obj.q)
+        cols = np.column_stack((obj.x, obj.rho, obj.u, obj.theta, obj.p, obj.q))
+        # "%.17g" % x and _fmt's format(x, ".17g") are one CPython routine, so
+        # one template over all cells gives the same bytes as _fmt per value
+        text = "x,rho,u,theta,p,q\n" + (_SNAPSHOT_ROW * len(cols)) % tuple(cols.ravel().tolist())
     else:
+        # tables are few rows of mixed types: format each value by its own type
         header, rows = obj
+        text = header + "\n" + "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(text)
 
 
 def snapshot_path(base: str, index: int) -> str:
@@ -209,6 +218,10 @@ def parse_and_dispatch(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as e:
             return 0 if e.code in (0, None) else 2
+        # every subcommand writes --out after its run: refuse a missing directory first
+        out_dir = os.path.dirname(args.out) or "."
+        if not os.path.isdir(out_dir):
+            raise FileNotFoundError(f"output directory {out_dir!r} does not exist")
         handler = {
             "two-beam": _run_two_beam,
             "matching-study": _run_matching_study,

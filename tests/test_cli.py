@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from mmbgk import cli
 from mmbgk.cli import _fmt, parse_and_dispatch, snapshot_path, write_csv
-from mmbgk.experiments import TwoBeamConfig, two_beam
+from mmbgk.experiments import MomentSnapshot, TwoBeamConfig, two_beam
 
 
 def _read_csv(path):
@@ -45,6 +46,38 @@ def test_write_csv_table(tmp_path):
     header, rows = _read_csv(path)
     assert header == "a,b"
     assert rows == [["1", "0.5"], ["2", "0.25"]]
+
+
+def _reference_csv(header, rows):
+    # the per-value writer: one _fmt call per cell
+    return (header + "\n" + "".join(",".join(_fmt(v) for v in row) + "\n"
+                                     for row in rows)).encode("utf-8")
+
+
+def test_write_csv_snapshot_bytes_match_per_value_formatting(tmp_path):
+    vals = np.array([0.0, -0.0, 5e-324, 1e-300, 1e300, np.inf, -np.inf, np.nan,
+                     0.1, 7.0, 4.859462828332312, -2.5])
+    cols = [np.roll(vals, k) for k in range(6)]
+    snap = MomentSnapshot(0.0, *cols)
+    path = tmp_path / "s.csv"
+    write_csv(snap, path)
+    assert path.read_bytes() == _reference_csv("x,rho,u,theta,p,q", zip(*cols))
+
+
+def test_write_csv_mixed_table_bytes_match_per_value_formatting(tmp_path):
+    rows = [("mmhme", 3, np.int64(-4), True, 0.1, np.float64(-0.0)),
+            ("cpi", np.int64(2**62), False, 7, np.float64(5e-324), float("nan")),
+            ("pi", 0, np.int64(0), np.True_, 1e300, np.float64(np.inf))]
+    path = tmp_path / "t.csv"
+    write_csv(("a,b,c,d,e,f", rows), path)
+    assert path.read_bytes() == _reference_csv("a,b,c,d,e,f", rows)
+
+
+def test_write_csv_error_leaves_no_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(TypeError):
+        write_csv(("a,b", [(1, 0.5), (2, None)]), path)
+    assert not path.exists()
 
 
 def test_two_beam_writes_one_csv_per_snapshot(tmp_path, capsys):
@@ -158,3 +191,14 @@ def test_unwritable_output_exits_one(tmp_path, capsys):
         "--out", str(tmp_path / "no_dir" / "x.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("two_beam ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "two_beam", no_run)
+    missing = tmp_path / "no" / "such" / "dir"
+    rc = parse_and_dispatch(["two-beam", "--out", str(missing / "x.csv")])
+    assert rc == 1
+    assert str(missing) in capsys.readouterr().err

@@ -8,6 +8,9 @@ so a copy placed in another checkout hashes that checkout's code. Prints one
 
 - the 56 CSVs of `mmbgk two-beam --scheme S --order O --snapshots 3`
   (7 schemes x orders 1, 2 x 4 snapshots), written under OUT_DIR;
+- the CSVs of `mmbgk matching-study` (defaults) and of
+  `mmbgk consistency-sweep --t-end 0.01`, which go through the CLI's table
+  writer;
 - the full state (every moment of every cell, and the time stamp) of each
   snapshot of library runs on the branches those CSVs miss: CPI at L = 5 on
   the HME and HSM models, PI/CPI on HSM, a t_end that is not a multiple of
@@ -47,8 +50,16 @@ LIBRARY_CASES = (
 )
 
 
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _run_cli(argv):
+    with redirect_stdout(io.StringIO()):
+        rc = cli.parse_and_dispatch(argv)
+    if rc != 0:
+        raise SystemExit(f"mmbgk {' '.join(argv)} exited {rc}")
+
+
+def _file_sha(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def cli_hashes(out_dir):
@@ -57,16 +68,22 @@ def cli_hashes(out_dir):
     for scheme in SCHEMES:
         for order in (1, 2):
             base = os.path.join(out_dir, f"{scheme}_o{order}.csv")
-            argv = ["two-beam", "--scheme", scheme, "--order", str(order),
-                    "--snapshots", "3", "--out", base]
-            with redirect_stdout(io.StringIO()):
-                rc = cli.parse_and_dispatch(argv)
-            if rc != 0:
-                raise SystemExit(f"two-beam {scheme} order {order} exited {rc}")
+            _run_cli(["two-beam", "--scheme", scheme, "--order", str(order),
+                      "--snapshots", "3", "--out", base])
             for i in range(4):
                 path = cli.snapshot_path(base, i)
-                with open(path, "rb") as fh:
-                    rows.append((os.path.basename(path), _sha(fh.read())))
+                rows.append((os.path.basename(path), _file_sha(path)))
+    return rows
+
+
+def table_hashes(out_dir):
+    """(name, sha256) of the CSVs of the table-writing subcommands."""
+    rows = []
+    for name, argv in (("matching_study.csv", ["matching-study"]),
+                       ("consistency_sweep.csv", ["consistency-sweep", "--t-end", "0.01"])):
+        path = os.path.join(out_dir, name)
+        _run_cli(argv + ["--out", path])
+        rows.append((name, _file_sha(path)))
     return rows
 
 
@@ -91,7 +108,7 @@ def main(argv=None):
         return 2
     out_dir = argv[0]
     os.makedirs(out_dir, exist_ok=True)
-    for name, digest in cli_hashes(out_dir) + library_hashes():
+    for name, digest in cli_hashes(out_dir) + table_hashes(out_dir) + library_hashes():
         print(f"{digest}  {name}")
     return 0
 
