@@ -16,13 +16,7 @@ from .basis import (
     moments_of,
     weighted_l2_distance,
 )
-from .coupling import (
-    basis_transform,
-    connection_coefficients,
-    match_l2,
-    pi_extrapolate,
-    restrict,
-)
+from .coupling import pi_extrapolate
 from .errors import ConfigError, DomainError, NumericError, StateError, StepError
 from .grid import (
     Field,
@@ -32,28 +26,10 @@ from .grid import (
     cfl_timestep,
     constant_field,
     spatial_update,
-    total_mass,
 )
-from .models import (
-    EulerModel,
-    HMEModel,
-    HSMModel,
-    hme_source,
-    hme_system_matrix,
-    hsm_source,
-    hsm_system_matrix,
-    make_model,
-)
+from .models import EulerModel, HMEModel, HSMModel, make_model
 from .quadrature import QuadratureRule, gauss_hermite, gauss_hermite_e, gaussian_rule
-from .schemes import (
-    SimConfig,
-    StepReport,
-    cpi_step,
-    mm_step,
-    pi_step,
-    run,
-    run_with_reports,
-)
+from .schemes import SimConfig, StepReport, run, run_with_reports
 from .experiments import (
     BenchResult,
     MomentSnapshot,
@@ -72,16 +48,13 @@ __all__ = [
     "eval_basis_hsm", "hme_expansion", "hme_expansion_to_state",
     "hme_state_to_expansion", "hsm_expansion", "hsm_primitives",
     "maxwellian_coefficients", "moments_of", "weighted_l2_distance",
-    "basis_transform", "connection_coefficients", "match_l2", "pi_extrapolate",
-    "restrict",
+    "pi_extrapolate",
     "ConfigError", "DomainError", "NumericError", "StateError", "StepError",
     "Field", "Grid1D", "apply_source", "apply_source_exact", "cfl_timestep",
-    "constant_field", "spatial_update", "total_mass",
-    "EulerModel", "HMEModel", "HSMModel", "hme_source",
-    "hme_system_matrix", "hsm_source", "hsm_system_matrix", "make_model",
+    "constant_field", "spatial_update",
+    "EulerModel", "HMEModel", "HSMModel", "make_model",
     "QuadratureRule", "gauss_hermite", "gauss_hermite_e", "gaussian_rule",
-    "SimConfig", "StepReport", "cpi_step", "mm_step", "pi_step", "run",
-    "run_with_reports",
+    "SimConfig", "StepReport", "run", "run_with_reports",
     "BenchResult", "MomentSnapshot", "TwoBeamConfig", "consistency_sweep",
     "matching_study", "speedup_bench", "two_beam", "two_beam_initial",
 ]

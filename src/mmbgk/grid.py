@@ -18,8 +18,10 @@ builders are kept as the test oracle and for spectra. The one FORCE body is
 MomentBuffer.transport. A MomentBuffer holds the cells moment-major with
 their ghosts and the step's work arrays, and advances them in place, so a
 run that owns one keeps its state there from step to step and converts to
-a cell-major Field only where a caller reads one. spatial_update is the
-single-step form on a Field. Field.data stays cell-major (n, M).
+a cell-major Field only where a caller reads one. Field.data stays
+cell-major (n, M). spatial_update, apply_source and apply_source_exact are
+single-step forms on a Field that no run calls; the tests compose them into
+a reference run.
 """
 
 from dataclasses import dataclass
@@ -208,24 +210,19 @@ def cfl_timestep(f: Field, model, cfl: float) -> float:
     return cfl_limit(cfl, f.grid.dx, float(np.max(model.wave_speeds(f.data))))
 
 
-def apply_source(f: Field, model, eps: float, dt: float) -> Field:
-    """Forward-Euler collision update; identity for the Euler model and eps = inf."""
+def _source_step(f: Field, model, eps: float, dt: float, relax) -> Field:
     if not dt > 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    new = model.relax(f.data, eps, dt)
+    new = relax(f.data, eps, dt)
     model.validate(new)
     return Field(f.grid, new, f.time)
+
+
+def apply_source(f: Field, model, eps: float, dt: float) -> Field:
+    """Forward-Euler collision update; identity for the Euler model and eps = inf."""
+    return _source_step(f, model, eps, dt, model.relax)
 
 
 def apply_source_exact(f: Field, model, eps: float, dt: float) -> Field:
     """Exact exponential collision update over dt (splitting integrator)."""
-    if not dt > 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    new = model.relax_exact(f.data, eps, dt)
-    model.validate(new)
-    return Field(f.grid, new, f.time)
-
-
-def total_mass(f: Field) -> float:
-    """dx * sum of rho; slot 0 is the density in all three models."""
-    return f.grid.dx * float(np.sum(f.data[:, 0]))
+    return _source_step(f, model, eps, dt, model.relax_exact)

@@ -30,16 +30,6 @@ def largest_hermite_root(n: int) -> float:
     return float(hermite_e.hermegauss(n)[0][-1])
 
 
-def _as_batch(w, n_vars_min):
-    w = np.asarray(w, dtype=float)
-    squeeze = w.ndim == 1
-    if squeeze:
-        w = w[None, :]
-    if w.shape[1] < n_vars_min:
-        raise DomainError(f"state needs at least {n_vars_min} entries, got {w.shape[1]}")
-    return w, squeeze
-
-
 def _check_rho_theta(rho, theta, kind):
     # fmin skips a NaN operand: true exactly where rho <= 0 or theta <= 0
     if (np.fmin(rho, theta) <= 0.0).any():
@@ -63,57 +53,11 @@ def _equilibrium_args(rho, u, theta):
     return rho, u, np.broadcast_to(np.asarray(theta, dtype=float), rho.shape)
 
 
-def hme_system_matrices(w) -> np.ndarray:
-    """Flux matrices A(w) of the adaptive moment system, batched.
-
-    Accepts shape (M,) or (n, M), returns (M, M) or (n, M, M). The last row
-    carries the hyperbolicity regularization: the (M-1, 1) entry is dropped
-    and the (M-1, 2) entry uses -f_{M-2} in place of (M-1) f_{M-2} / 2.
-    Entries on the constrained columns accumulate, so the sub-diagonal theta
-    only appears where the column index is an unconstrained slot (>= 3).
-    """
-    w, squeeze = _as_batch(w, 4)
-    n, m = w.shape
-    rho, u, theta = w[:, 0], w[:, 1], w[:, 2]
-    _check_rho_theta(rho, theta, "hme")
-    # fbar folds the consistency constraints into the recurrence pattern
-    fbar = np.zeros_like(w)
-    fbar[:, 0] = rho
-    fbar[:, 3:] = w[:, 3:]
-    a = np.zeros((n, m, m))
-    a[:, 0, 0] = u
-    a[:, 0, 1] = rho
-    a[:, 1, 0] = theta / rho
-    a[:, 1, 1] = u
-    a[:, 1, 2] = 1.0
-    a[:, 2, 1] = 2.0 * theta
-    a[:, 2, 2] = u
-    a[:, 2, 3] = 6.0 / rho
-    for b in range(3, m - 1):
-        a[:, b, 0] += -theta * fbar[:, b - 1] / rho
-        a[:, b, 1] += (b + 1) * fbar[:, b]
-        a[:, b, 2] += ((b - 1) * fbar[:, b - 1] + theta * fbar[:, b - 3]) / 2.0
-        a[:, b, 3] += -3.0 * fbar[:, b - 2] / rho
-        if b - 1 >= 3:
-            a[:, b, b - 1] += theta
-        a[:, b, b] += u
-        a[:, b, b + 1] += b + 1
-    b = m - 1
-    a[:, b, 0] += -theta * fbar[:, b - 1] / rho
-    a[:, b, 2] += -fbar[:, b - 1] + theta * fbar[:, b - 3] / 2.0
-    a[:, b, 3] += -3.0 * fbar[:, b - 2] / rho
-    if b - 1 >= 3:
-        a[:, b, b - 1] += theta
-    a[:, b, b] += u
-    return a[0] if squeeze else a
-
-
-def hme_system_matrix(w) -> np.ndarray:
-    """A(w) for a single adaptive-model state vector."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1:
-        raise DomainError("expected a single state vector")
-    return hme_system_matrices(w)
+def _relaxed(model, w, eps, factor):
+    """model.relax_moments on a copy of the cell-major states w."""
+    out = w.copy()
+    model.relax_moments(out.T, eps, factor)
+    return out
 
 
 def _euler_rows(out, v, rho, u, theta_rho, two_theta):
@@ -123,25 +67,6 @@ def _euler_rows(out, v, rho, u, theta_rho, two_theta):
     out[0] = u * v0 + rho * v1
     out[1] = theta_rho * v0 + u * v1 + v2
     out[2] = two_theta * v1 + u * v2
-
-
-def hme_source(w, eps) -> np.ndarray:
-    """-(1/eps) diag(0,0,0,1,...,1) w, the BGK term in adaptive variables."""
-    if not eps > 0.0:
-        raise ConfigError(f"relaxation time must be positive, got {eps}")
-    w = np.asarray(w, dtype=float)
-    s = np.zeros_like(w)
-    if not math.isinf(eps):
-        s[..., 3:] = -w[..., 3:] / eps
-    return s
-
-
-def hsm_system_matrix(m: int) -> np.ndarray:
-    """Constant symmetric tridiagonal flux matrix, off-diagonals sqrt(1..M-1)."""
-    if m < 2:
-        raise DomainError(f"need M >= 2, got {m}")
-    off = np.sqrt(np.arange(1.0, m))
-    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def hsm_flux_operator(m: int):
@@ -160,20 +85,6 @@ def hsm_flux_operator(m: int):
     return apply
 
 
-def hsm_source(f, eps) -> np.ndarray:
-    """-(1/eps)(f - f_M) with f_M the coefficient vector of the local Maxwellian."""
-    if not eps > 0.0:
-        raise ConfigError(f"relaxation time must be positive, got {eps}")
-    f = np.asarray(f, dtype=float)
-    if math.isinf(eps):
-        return np.zeros_like(f)
-    rho, u, theta = hsm_primitives(f)
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
-        raise StateError("hsm state fails realizability: recovered rho or theta <= 0")
-    m = maxwellian_coefficients(rho, u, theta, f.shape[-1])
-    return -(f - m) / eps
-
-
 class HMEModel:
     """Adaptive-basis moment model with M >= 4 variables."""
 
@@ -190,7 +101,50 @@ class HMEModel:
         self._c2_scale = 0.5 * b - 0.5
 
     def system_matrices(self, w):
-        return hme_system_matrices(w)
+        """Dense flux matrices A(w), the test oracle of flux_operator.
+
+        Accepts shape (M,) or (n, M), returns (M, M) or (n, M, M). The last row
+        carries the hyperbolicity regularization: the (M-1, 1) entry is dropped
+        and the (M-1, 2) entry uses -f_{M-2} in place of (M-1) f_{M-2} / 2.
+        Entries on the constrained columns accumulate, so the sub-diagonal theta
+        only appears where the column index is an unconstrained slot (>= 3).
+        """
+        w = np.asarray(w, dtype=float)
+        squeeze = w.ndim == 1
+        w = np.atleast_2d(w)
+        n, m = w.shape
+        rho, u, theta = w[:, 0], w[:, 1], w[:, 2]
+        _check_rho_theta(rho, theta, "hme")
+        # fbar folds the consistency constraints into the recurrence pattern
+        fbar = np.zeros_like(w)
+        fbar[:, 0] = rho
+        fbar[:, 3:] = w[:, 3:]
+        a = np.zeros((n, m, m))
+        a[:, 0, 0] = u
+        a[:, 0, 1] = rho
+        a[:, 1, 0] = theta / rho
+        a[:, 1, 1] = u
+        a[:, 1, 2] = 1.0
+        a[:, 2, 1] = 2.0 * theta
+        a[:, 2, 2] = u
+        a[:, 2, 3] = 6.0 / rho
+        for b in range(3, m - 1):
+            a[:, b, 0] += -theta * fbar[:, b - 1] / rho
+            a[:, b, 1] += (b + 1) * fbar[:, b]
+            a[:, b, 2] += ((b - 1) * fbar[:, b - 1] + theta * fbar[:, b - 3]) / 2.0
+            a[:, b, 3] += -3.0 * fbar[:, b - 2] / rho
+            if b - 1 >= 3:
+                a[:, b, b - 1] += theta
+            a[:, b, b] += u
+            a[:, b, b + 1] += b + 1
+        b = m - 1
+        a[:, b, 0] += -theta * fbar[:, b - 1] / rho
+        a[:, b, 2] += -fbar[:, b - 1] + theta * fbar[:, b - 3] / 2.0
+        a[:, b, 3] += -3.0 * fbar[:, b - 2] / rho
+        if b - 1 >= 3:
+            a[:, b, b - 1] += theta
+        a[:, b, b] += u
+        return a[0] if squeeze else a
 
     def flux_operator(self, wt):
         """v -> A(w) v for moment-major states wt of shape (M, n), matrix-free.
@@ -241,16 +195,11 @@ class HMEModel:
 
     def relax(self, w, eps, dt):
         """Forward-Euler collision update; multiplicative on the free slots."""
-        return self._relax(w, eps, 1.0 - dt / eps)
+        return _relaxed(self, w, eps, 1.0 - dt / eps)
 
     def relax_exact(self, w, eps, dt):
         """Exact integration of the relaxation over dt."""
-        return self._relax(w, eps, math.exp(-dt / eps))
-
-    def _relax(self, w, eps, factor):
-        out = w.copy()
-        self.relax_moments(out.T, eps, factor)
-        return out
+        return _relaxed(self, w, eps, math.exp(-dt / eps))
 
     def relax_moments(self, wt, eps, factor):
         """Scale the free slots of moment-major states wt (M, n) in place by
@@ -288,7 +237,9 @@ class HSMModel:
             raise ConfigError(f"hsm needs M >= 3, got {n_moments}")
         self.n_moments = n_moments
         self.n_vars = n_moments
-        self._matrix = hsm_system_matrix(n_moments)
+        # the constant symmetric tridiagonal flux matrix, off-diagonals sqrt(1..M-1)
+        off = np.sqrt(np.arange(1.0, n_moments))
+        self._matrix = np.diag(off, 1) + np.diag(off, -1)
         self._apply = hsm_flux_operator(n_moments)
 
     def system_matrices(self, w):
@@ -306,15 +257,10 @@ class HSMModel:
         return np.full(w.shape[0], largest_hermite_root(self.n_moments))
 
     def relax(self, f, eps, dt):
-        return self._relax(f, eps, 1.0 - dt / eps)
+        return _relaxed(self, f, eps, 1.0 - dt / eps)
 
     def relax_exact(self, f, eps, dt):
-        return self._relax(f, eps, math.exp(-dt / eps))
-
-    def _relax(self, f, eps, factor):
-        out = f.copy()
-        self.relax_moments(out.T, eps, factor)
-        return out
+        return _relaxed(self, f, eps, math.exp(-dt / eps))
 
     def relax_moments(self, ft, eps, factor):
         """Scale the distance of moment-major states ft (M, n) to their local

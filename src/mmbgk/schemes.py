@@ -28,9 +28,8 @@ import time
 
 from .coupling import match_hsm_states, pi_extrapolate, transform_state_slots
 from .errors import ConfigError, StateError
-# spatial_update, apply_source and apply_source_exact are the single-step
-# forms of the buffer loop below; they stay module globals here, where
-# perfbench's tracer patches them
+# spatial_update, apply_source and apply_source_exact are not called here;
+# they stay module globals because perfbench's tracer patches them by name
 from .grid import (  # noqa: F401
     Field, MomentBuffer, apply_source, apply_source_exact, cfl_limit, cfl_timestep,
     spatial_update,
@@ -79,8 +78,8 @@ def scheme_model(cfg: SimConfig):
 
 
 class _Runner:
-    """Config resolution, the run's buffers and the step dispatch shared by
-    run() and the single-step functions."""
+    """Config resolution, the run's buffers and the step dispatch of one
+    run() call."""
 
     def __init__(self, field0: Field, cfg: SimConfig):
         if cfg.scheme not in SCHEMES:
@@ -93,6 +92,8 @@ class _Runner:
             raise ConfigError(f"eps must be positive (inf allowed), got {cfg.eps}")
         if not cfg.dt_macro > 0.0:
             raise ConfigError(f"dt_macro must be positive, got {cfg.dt_macro}")
+        if not 0.0 < cfg.cfl <= 1.0:
+            raise ConfigError(f"cfl must lie in (0, 1], got {cfg.cfl}")
         self.cfg = cfg
         self.scheme = cfg.scheme
         self.macro = self.scheme in _MACRO_SCHEMES
@@ -271,11 +272,6 @@ class _Runner:
         if rem > self.dt_micro * 1e-9:
             self._micro(t + n_full * self.dt_micro, rem, 1)
 
-    def enter(self, field: Field):
-        """Load field into the buffer; the one finiteness scan of the input."""
-        self.buf.load(field.data)
-        self.buf.check_finite(field.time)
-
     def run(self, field0: Field):
         cfg = self.cfg
         if cfg.t_end < 0.0:
@@ -286,7 +282,9 @@ class _Runner:
         reports = []
         if cfg.t_end == 0.0:
             return snaps, reports
-        self.enter(field0)
+        # the one finiteness scan of the input
+        self.buf.load(field0.data)
+        self.buf.check_finite(field0.time)
         t = t0 = field0.time
         targets = [t0 + cfg.t_end * i / cfg.n_snapshots for i in range(1, cfg.n_snapshots + 1)]
         targets[-1] = t0 + cfg.t_end
@@ -317,35 +315,6 @@ class _Runner:
             t = target
             snaps.append(Field(field0.grid, self.buf.cells(), t))
         return snaps, reports
-
-
-def _single_step(field: Field, cfg: SimConfig):
-    """One step of size cfg.dt_macro from field; returns (Field, StepReport)."""
-    runner = _Runner(field, cfg)
-    runner.enter(field)
-    t, rep = runner.step(field.time, cfg.dt_macro)
-    return Field(field.grid, runner.buf.cells(), t), rep
-
-
-def mm_step(field: Field, cfg: SimConfig):
-    """One hierarchical micro-macro step of size cfg.dt_macro."""
-    if cfg.scheme not in ("mmhme", "mmhsm"):
-        raise ConfigError(f"mm_step needs an mm scheme, got {cfg.scheme!r}")
-    return _single_step(field, cfg)
-
-
-def pi_step(field: Field, cfg: SimConfig):
-    """One projective-integration step of size cfg.dt_macro."""
-    if cfg.scheme != "pi":
-        raise ConfigError(f"pi_step needs scheme 'pi', got {cfg.scheme!r}")
-    return _single_step(field, cfg)
-
-
-def cpi_step(field: Field, cfg: SimConfig):
-    """One coarse projective-integration step of size cfg.dt_macro."""
-    if cfg.scheme != "cpi":
-        raise ConfigError(f"cpi_step needs scheme 'cpi', got {cfg.scheme!r}")
-    return _single_step(field, cfg)
 
 
 def run_with_reports(field0: Field, cfg: SimConfig):

@@ -18,7 +18,6 @@ from mmbgk.basis import (
     weighted_l2_distance,
 )
 from mmbgk.basis import BasisParams, eval_basis, weight_function
-from mmbgk.coupling import connection_coefficients, match_l2
 from mmbgk.experiments import (
     BIMODAL_STATE,
     TwoBeamConfig,
@@ -32,6 +31,7 @@ from mmbgk.grid import Grid1D, Field, constant_field
 from mmbgk.models import make_model
 from mmbgk.quadrature import gaussian_rule
 from mmbgk.schemes import SimConfig, run
+from oracles import connection_coefficients, match_l2
 
 SQRT2 = math.sqrt(2.0)
 

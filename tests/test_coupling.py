@@ -1,4 +1,5 @@
-"""Restriction, L2 matching, basis transforms, and projective extrapolation."""
+"""Batched matching and projective extrapolation, and the one-state
+matching oracles they are checked against."""
 
 import math
 
@@ -14,17 +15,10 @@ from mmbgk.basis import (
     hsm_expansion,
     weighted_l2_distance,
 )
-from mmbgk.coupling import (
-    basis_transform,
-    connection_coefficients,
-    match_hsm_states,
-    match_l2,
-    pi_extrapolate,
-    restrict,
-    transform_state_slots,
-)
+from mmbgk.coupling import match_hsm_states, pi_extrapolate, transform_state_slots
 from mmbgk.errors import ConfigError, DomainError
 from mmbgk.quadrature import gaussian_rule
+from oracles import basis_transform, connection_coefficients, match_l2, restrict
 
 SQRT2 = math.sqrt(2.0)
 

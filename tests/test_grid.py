@@ -14,9 +14,9 @@ from mmbgk.grid import (
     cfl_timestep,
     constant_field,
     spatial_update,
-    total_mass,
 )
 from mmbgk.models import EulerModel, make_model
+from oracles import total_mass
 
 
 class _Advection:

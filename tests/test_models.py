@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 from mmbgk.basis import BasisParams, hme_state_to_expansion, maxwellian_coefficients
-from mmbgk.coupling import basis_transform
 from mmbgk.errors import ConfigError, DomainError, StateError
-from mmbgk.models import (
-    EulerModel,
-    hme_source,
-    hme_system_matrices,
-    hme_system_matrix,
-    hsm_source,
-    hsm_system_matrix,
-    largest_hermite_root,
-    make_model,
-)
+from mmbgk.models import EulerModel, hsm_flux_operator, largest_hermite_root, make_model
+from oracles import basis_transform
 
 SQRT2 = math.sqrt(2.0)
+
+
+def hme_system_matrix(w):
+    """A(w) of the adaptive model sized to the state w."""
+    return make_model("hme", len(w)).system_matrices(w)
+
+
+def hsm_system_matrix(m):
+    return make_model("hsm", m).system_matrices(np.zeros(m))
 
 
 def test_adaptive_matrix_equilibrium_m6():
@@ -52,11 +52,9 @@ def test_adaptive_matrix_batched():
     w = rng.uniform(-0.2, 0.2, size=(7, 6))
     w[:, 0] = 1.0
     w[:, 2] = 1.0
-    mats = hme_system_matrices(w)
+    mats = make_model("hme", 6).system_matrices(w)
     assert mats.shape == (7, 6, 6)
     np.testing.assert_array_equal(mats[3], hme_system_matrix(w[3]))
-    with pytest.raises(DomainError):
-        hme_system_matrix(w)  # batched input needs the plural form
 
 
 def test_equilibrium_spectrum_is_shifted_hermite_nodes():
@@ -86,9 +84,10 @@ def test_fixed_basis_matrix_literals():
         hsm_system_matrix(3),
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, SQRT2], [0.0, SQRT2, 0.0]]),
     )
-    np.testing.assert_array_equal(hsm_system_matrix(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    # below the model's M >= 3 the matrix-free operator still holds the literal
+    np.testing.assert_array_equal(hsm_flux_operator(2)(np.eye(2)), [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(DomainError):
-        hsm_system_matrix(1)
+        hsm_flux_operator(1)
 
 
 def test_fixed_basis_spectral_radius_m10():
@@ -152,44 +151,50 @@ def test_flux_operator_raises_like_dense_builder(kind, slot, value):
 
 
 def test_adaptive_source_literal():
-    s = hme_source(np.array([1.0, 0.0, 1.0, 0.2, -0.1]), 0.1)
-    np.testing.assert_array_equal(s, np.array([0.0, 0.0, 0.0, -2.0, 1.0]))
+    w = np.array([[1.0, 0.0, 1.0, 0.2, -0.1]])
+    hme = make_model("hme", 5)
+    np.testing.assert_array_equal(hme.relax(w, 0.1, 0.05), [[1.0, 0.0, 1.0, 0.1, -0.05]])
+    np.testing.assert_array_equal(hme.relax(w, 0.1, 0.1), [[1.0, 0.0, 1.0, 0.0, 0.0]])
 
 
 def test_adaptive_source_structure():
     rng = np.random.default_rng(4)
-    w = rng.standard_normal(8)
-    s = hme_source(w, 0.37)
-    np.testing.assert_array_equal(s[:3], 0.0)
-    w_eq = np.array([1.0, 0.5, 2.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(hme_source(w_eq, 0.1), np.zeros(6))
-    np.testing.assert_array_equal(hme_source(w, math.inf), np.zeros(8))
-    with pytest.raises(ConfigError):
-        hme_source(w, 0.0)
-    with pytest.raises(ConfigError):
-        hme_source(w, -1.0)
+    w = rng.standard_normal((1, 8))
+    hme = make_model("hme", 8)
+    for relax in (hme.relax, hme.relax_exact):
+        out = relax(w, 0.37, 0.1)
+        np.testing.assert_array_equal(out[:, :3], w[:, :3])
+        assert np.all(out[:, 3:] != w[:, 3:])
+        np.testing.assert_array_equal(relax(w, math.inf, 0.1), w)
+    w_eq = np.array([[1.0, 0.5, 2.0, 0.0, 0.0, 0.0]])
+    hme6 = make_model("hme", 6)
+    np.testing.assert_array_equal(hme6.relax(w_eq, 0.1, 0.03), w_eq)
+    np.testing.assert_array_equal(hme6.relax_exact(w_eq, 0.1, 0.03), w_eq)
 
 
 def test_fixed_basis_source_vanishes_on_maxwellian():
     f = maxwellian_coefficients(1.0, 0.3, 1.2, 8)
-    np.testing.assert_allclose(hsm_source(f, 1.0), np.zeros(8), atol=1e-14)
+    hsm = make_model("hsm", 8)
+    np.testing.assert_allclose(hsm.relax(f, 1.0, 0.4), f, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(hsm.relax_exact(f, 1.0, 0.4), f, rtol=0, atol=1e-14)
 
 
 def test_fixed_basis_source_literal():
-    f = np.array([1.0, 0.0, 0.0, 0.5, 0.0, 0.0])
-    s = hsm_source(f, 1.0)
-    np.testing.assert_array_equal(s, np.array([0.0, 0.0, 0.0, -0.5, 0.0, 0.0]))
+    # rho = 1, u = 0, theta = 1: the Maxwellian is e_0 and only f_3 decays
+    f = np.array([[1.0, 0.0, 0.0, 0.5, 0.0, 0.0]])
+    out = make_model("hsm", 6).relax(f, 1.0, 0.5)
+    np.testing.assert_array_equal(out, [[1.0, 0.0, 0.0, 0.25, 0.0, 0.0]])
 
 
 def test_fixed_basis_source_structure():
-    f = np.array([1.2, 0.3, 0.1, 0.5, -0.2])
-    s = hsm_source(f, 0.7)
-    np.testing.assert_allclose(s[:3], 0.0, atol=1e-15)
-    np.testing.assert_array_equal(hsm_source(f, math.inf), np.zeros(5))
-    with pytest.raises(ConfigError):
-        hsm_source(f, 0.0)
+    f = np.array([[1.2, 0.3, 0.1, 0.5, -0.2]])
+    hsm = make_model("hsm", 5)
+    for relax in (hsm.relax, hsm.relax_exact):
+        out = relax(f, 0.7, 0.1)
+        np.testing.assert_allclose(out[:, :3], f[:, :3], rtol=1e-15)
+        np.testing.assert_array_equal(relax(f, math.inf, 0.1), f)
     with pytest.raises(StateError):
-        hsm_source(np.array([1.0, 0.0, -2.0, 0.0]), 1.0)  # recovered theta < 0
+        make_model("hsm", 4).relax(np.array([[1.0, 0.0, -2.0, 0.0]]), 1.0, 0.1)
 
 
 # --- Euler model -------------------------------------------------------------

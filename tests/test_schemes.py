@@ -1,5 +1,6 @@
 """Time-stepping schemes: micro, macro, micro-macro, and projective variants."""
 
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -10,18 +11,11 @@ from mmbgk.coupling import match_hsm_states, pi_extrapolate, transform_state_slo
 from mmbgk.errors import ConfigError, StateError, StepError
 from mmbgk.grid import (
     Grid1D, Field, apply_source, apply_source_exact, cfl_timestep, constant_field,
-    spatial_update, total_mass,
+    spatial_update,
 )
 from mmbgk.models import make_model
-from mmbgk.schemes import (
-    SimConfig,
-    StepReport,
-    cpi_step,
-    mm_step,
-    pi_step,
-    run,
-    run_with_reports,
-)
+from mmbgk.schemes import SimConfig, StepReport, run, run_with_reports
+from oracles import total_mass
 
 ALL_SCHEMES = ("micro", "micro-split", "euler", "mmhme", "mmhsm", "pi", "cpi")
 
@@ -67,6 +61,12 @@ def _scheme_setup(scheme, n_cells=50, m=10, **kw):
     (dict(scheme="pi", n_macro=5), "n_macro must equal n_moments"),
     (dict(scheme="micro", model="euler"), "micro model must be hme or hsm"),
     (dict(dt_micro=4e-4, micro_steps=2, dt_macro=5e-4), "exceeds dt_macro"),
+    # an explicit dt_micro leaves cfl unread by micro and pi, and mmhme reads
+    # it only at the first Euler leftover: each is rejected before any step
+    (dict(scheme="micro", dt_micro=1e-5, cfl=7.0), r"cfl must lie in \(0, 1\]"),
+    (dict(scheme="pi", n_macro=10, dt_micro=1e-5, cfl=7.0), r"cfl must lie in \(0, 1\]"),
+    (dict(scheme="mmhme", dt_micro=1e-5, cfl=7.0), r"cfl must lie in \(0, 1\]"),
+    (dict(scheme="mmhme", dt_micro=1e-5, cfl=0.0), r"cfl must lie in \(0, 1\]"),
 ])
 def test_config_validation(kw, msg):
     f, _ = _two_beam_field(n_cells=20)
@@ -80,25 +80,16 @@ def test_field_width_must_match_model():
         run(f, _cfg(n_moments=10))
 
 
-def test_step_functions_check_scheme():
-    f, _ = _two_beam_field(n_cells=20)
-    with pytest.raises(ConfigError, match="mm_step needs an mm scheme"):
-        mm_step(f, _cfg(scheme="pi", n_macro=10))
-    with pytest.raises(ConfigError, match="pi_step needs scheme 'pi'"):
-        pi_step(f, _cfg(scheme="mmhme"))
-    with pytest.raises(ConfigError, match="cpi_step needs scheme 'cpi'"):
-        cpi_step(f, _cfg(scheme="mmhme"))
-
-
 def test_step_functions_advance_time():
+    # t_end = dt_macro: run_with_reports takes exactly one step
     f, _ = _two_beam_field(n_cells=40)
-    out, rep = mm_step(f, _cfg(scheme="mmhme"))
-    assert out.time == pytest.approx(5e-4, rel=1e-15)
-    assert rep.dt == out.time
-    out, _ = pi_step(f, _cfg(scheme="pi", n_macro=10))
-    assert out.time == pytest.approx(5e-4, rel=1e-15)
-    out, _ = cpi_step(f, _cfg(scheme="cpi", n_macro=5))
-    assert out.time == pytest.approx(5e-4, rel=1e-15)
+    for kw in (dict(scheme="mmhme"), dict(scheme="pi", n_macro=10),
+               dict(scheme="cpi", n_macro=5)):
+        cfg = _cfg(**kw)
+        snaps, reports = run_with_reports(f, replace(cfg, t_end=cfg.dt_macro))
+        assert len(reports) == 1
+        assert snaps[-1].time == pytest.approx(5e-4, rel=1e-15)
+        assert reports[0].dt == snaps[-1].time
 
 
 # ------------------------------------------------------------------ run loop
