@@ -18,12 +18,17 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _check_weight_ratio(theta_new, theta_prior):
-    # int phi*_i phi+_j (omega+)^-1 dc needs the prior Gaussian to decay
-    # faster than sqrt(omega+): theta* < 2 theta+.
-    if np.any(np.asarray(theta_prior) >= 2.0 * np.asarray(theta_new)):
+    """DomainError naming the first cell outside the matching bound.
+
+    int phi*_i phi+_j (omega+)^-1 dc needs the prior Gaussian to decay
+    faster than sqrt(omega+): theta* < 2 theta+.
+    """
+    over = theta_prior >= 2.0 * theta_new
+    if over.any():
+        bad = int(over.argmax())
         raise DomainError(
-            "matching outside the realizability bound theta_prior < 2*theta_new: "
-            f"theta_prior={theta_prior}, theta_new={theta_new}"
+            "matching outside the realizability bound theta_prior < 2*theta_new "
+            f"in cell {bad}: theta_prior={theta_prior[bad]:g}, theta_new={theta_new[bad]:g}"
         )
 
 

@@ -13,8 +13,9 @@ Order 2 adds minmod-limited linear reconstruction and the in-cell
 non-conservative term A(w_i) sigma_i. Boundaries are copy-outflow.
 
 A(w) is never assembled: each model's flux_operator applies it in O(n M)
-per product on moment-major (M, n) arrays; the dense system_matrices
-builders are kept as the test oracle and for spectra. The one FORCE body is
+per product on moment-major (M, n) arrays, as one einsum over a coefficient
+array of the dense columns plus, for the adaptive model, a band; the dense
+system_matrices builders are kept as the test oracle and for spectra. The one FORCE body is
 MomentBuffer.transport. A MomentBuffer holds the cells moment-major with
 their ghosts and the step's work arrays, and advances them in place, so a
 run that owns one keeps its state there from step to step and converts to
@@ -78,10 +79,6 @@ class Field:
 def constant_field(grid: Grid1D, state, time: float = 0.0) -> Field:
     state = np.asarray(state, dtype=float)
     return Field(grid, np.tile(state, (grid.n_cells, 1)), time)
-
-
-def _minmod(a, b):
-    return 0.5 * (np.sign(a) + np.sign(b)) * np.minimum(np.abs(a), np.abs(b))
 
 
 class MomentBuffer:
@@ -153,8 +150,10 @@ class MomentBuffer:
         if g == 1:
             wl, wr = we[:, :-1], we[:, 1:]
         else:
+            # minmod slopes of cells we[:, 1:-1]
             d = np.diff(we, axis=1)
-            sig = _minmod(d[:, :-1], d[:, 1:])  # slopes of cells we[:, 1:-1]
+            s, a = np.sign(d), np.abs(d)
+            sig = 0.5 * (s[:, :-1] + s[:, 1:]) * np.minimum(a[:, :-1], a[:, 1:])
             # half-step predictor keeps the update second order in time
             ev = we[:, 1:-1] - (0.5 * nu) * model.flux_operator(we[:, 1:-1])(sig)
             wl = ev[:, :-1] + 0.5 * sig[:, :-1]

@@ -8,8 +8,11 @@ primitive form with no collision source.
 
 Transport uses each model's flux_operator: built once from a batch of
 moment-major states (M, n), it returns v -> A(w) v for moment-major v in
-O(n M) without forming A. The dense system_matrices builders are kept as
-the test oracle for those products and for spectra.
+O(n M) without forming A. The adaptive and Euler operators hold the dense
+columns of every row in one coefficient array, (4, M, n) and (3, 3, n),
+applied by one einsum; the adaptive one adds the band on columns >= 4. The
+dense system_matrices builders are kept as the test oracle for those
+products and for spectra.
 """
 
 from functools import lru_cache
@@ -60,13 +63,14 @@ def _relaxed(model, w, eps, factor):
     return out
 
 
-def _euler_rows(out, v, rho, u, theta_rho, two_theta):
-    """Rows 0-2 of A v shared by the Euler and adaptive systems (row 2 without
-    the heat-flux column)."""
-    v0, v1, v2 = v[0], v[1], v[2]
-    out[0] = u * v0 + rho * v1
-    out[1] = theta_rho * v0 + u * v1 + v2
-    out[2] = two_theta * v1 + u * v2
+def _euler_columns(c, rho, u, theta):
+    """Fill the Euler block of a coefficient array c, c[k, b] the coefficient
+    of v_k in row b of A v, for k, b < 3."""
+    c[0, 0] = c[1, 1] = c[2, 2] = u
+    c[1, 0] = rho
+    c[0, 1] = theta / rho
+    c[2, 1] = 1.0
+    c[1, 2] = 2.0 * theta
 
 
 def hsm_flux_operator(m: int):
@@ -149,10 +153,13 @@ class HMEModel:
     def flux_operator(self, wt):
         """v -> A(w) v for moment-major states wt of shape (M, n), matrix-free.
 
-        Rows 0-2 are the Euler rows plus the heat-flux column 6/rho on row 2.
-        Each row b >= 3 has the four dense columns 0-3 and a band: theta below
-        the diagonal (from column 4 on), u on it and b + 1 above it. The
-        coefficients are built once here and shared by every product.
+        Columns 0-3 of every row live in one (4, M, n) array c, c[k, b] the
+        coefficient of v_k in row b: the Euler rows with the heat-flux column
+        6/rho on row 2, the four dense columns of each row b >= 3, and the u
+        on row 3 and theta on row 4 that fall in column 3. A product is one
+        einsum over k, which adds the terms in column order, plus the band on
+        columns >= 4: b + 1 above the diagonal, u on it and theta below it.
+        The coefficients are built once here and shared by every product.
         """
         wt = np.asarray(wt, dtype=float)
         m = self.n_vars
@@ -160,29 +167,27 @@ class HMEModel:
         _check_rho_theta(rho, theta, "hme")
         fbar = wt.copy()
         fbar[1:3] = 0.0
-        theta_rho, two_theta, six_rho = theta / rho, 2.0 * theta, 6.0 / rho
-        upper = self._upper
-        # columns 0-3 of rows b = 3..M-1; the last row drops column 1 and
-        # takes -f_{M-2} in column 2 (hyperbolicity regularization)
-        c0 = fbar[2:m - 1] * -theta_rho
-        c1 = upper * fbar[3:m - 1]
-        c2 = self._c2_scale * fbar[2:m - 1]
+        six_rho = 6.0 / rho
+        c = np.zeros((4, m, wt.shape[1]))
+        _euler_columns(c, rho, u, theta)
+        c[3, 2] = six_rho
+        # rows b = 3..M-1; the last row drops column 1 and takes -f_{M-2} in
+        # column 2 (hyperbolicity regularization)
+        np.multiply(fbar[2:m - 1], -c[0, 1], out=c[0, 3:])
+        np.multiply(self._upper, fbar[3:m - 1], out=c[1, 3:m - 1])
+        c2 = np.multiply(self._c2_scale, fbar[2:m - 1], out=c[2, 3:])
         c2 += (0.5 * theta) * fbar[:m - 3]
         c2[-1] = -fbar[m - 2] + theta * fbar[m - 4] / 2.0
-        c3 = fbar[1:m - 2] * (-0.5 * six_rho)
+        c3 = np.multiply(fbar[1:m - 2], -0.5 * six_rho, out=c[3, 3:])
+        c3[0] += u
+        c3[1:2] += theta  # row 4, absent at M = 4
+        upper = self._upper
 
         def apply(v):
-            out = np.empty_like(v, dtype=float)
-            _euler_rows(out, v, rho, u, theta_rho, two_theta)
-            out[2] += six_rho * v[3]
-            tail = out[3:]
-            np.multiply(u, v[3:], out=tail)
-            tail += c0 * v[0]
-            tail[:-1] += c1 * v[1]
-            tail += c2 * v[2]
-            tail += c3 * v[3]
-            out[4:] += theta * v[3:-1]
-            tail[:-1] += upper * v[4:]
+            out = np.einsum("kmn,kn->mn", c, v[:4])
+            out[3:-1] += upper * v[4:]
+            out[4:] += u * v[4:]
+            out[5:] += theta * v[4:-1]
             return out
 
         return apply
@@ -315,18 +320,14 @@ class EulerModel:
         return a[0] if squeeze else a
 
     def flux_operator(self, wt):
-        """v -> A(w) v for moment-major (3, n) states and vectors."""
+        """v -> A(w) v for moment-major (3, n) states and vectors: one einsum
+        over a (3, 3, n) coefficient array, c[k, b] the coefficient of v_k in
+        row b."""
         wt = np.asarray(wt, dtype=float)
-        rho, u, theta = wt[0], wt[1], wt[2]
-        _check_rho_theta(rho, theta, "euler")
-        theta_rho, two_theta = theta / rho, 2.0 * theta
-
-        def apply(v):
-            out = np.empty_like(v, dtype=float)
-            _euler_rows(out, v, rho, u, theta_rho, two_theta)
-            return out
-
-        return apply
+        _check_rho_theta(wt[0], wt[2], "euler")
+        c = np.zeros((3, 3, wt.shape[1]))
+        _euler_columns(c, wt[0], wt[1], wt[2])
+        return lambda v: np.einsum("kmn,kn->mn", c, v)
 
     def wave_speeds(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))

@@ -27,7 +27,7 @@ import math
 import time
 
 from .coupling import match_hsm_states, pi_extrapolate, transform_state_slots
-from .errors import ConfigError, StateError
+from .errors import ConfigError, DomainError, StateError
 # spatial_update, apply_source and apply_source_exact are not called here;
 # they stay module globals because perfbench's tracer patches them by name
 from .grid import (  # noqa: F401
@@ -230,7 +230,10 @@ class _Runner:
             # bound: CPI at L = M is PI
             new = macro
         elif self.model.kind == "hme":
-            new = transform_state_slots(w, macro[:, :3], first_free=l)
+            try:
+                new = transform_state_slots(w, macro[:, :3], first_free=l)
+            except DomainError as exc:
+                raise DomainError(f"{exc} at t={t + dt_total:g} (match)") from exc
             new[:, 3:l] = macro[:, 3:]
         elif not self.extrapolate:
             new = match_hsm_states(w, macro)

@@ -18,7 +18,7 @@ from mmbgk.basis import (
     hsm_expansion,
     hsm_primitives,
 )
-from mmbgk.coupling import _check_weight_ratio, match_hsm_states
+from mmbgk.coupling import match_hsm_states
 from mmbgk.errors import ConfigError, DomainError
 from mmbgk.grid import Field
 
@@ -34,7 +34,8 @@ def connection_coefficients(u_new, theta_new, u_prior, theta_prior, n_moments: i
     """
     if theta_new <= 0.0 or theta_prior <= 0.0:
         raise DomainError("basis temperatures must be positive")
-    _check_weight_ratio(theta_new, theta_prior)
+    if theta_prior >= 2.0 * theta_new:
+        raise DomainError("matching outside the realizability bound theta_prior < 2*theta_new")
     a = (u_prior - u_new) / math.sqrt(theta_new)
     b = math.sqrt(theta_prior / theta_new)
     c2 = 0.5 * (theta_prior / theta_new - 1.0)

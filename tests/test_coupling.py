@@ -246,6 +246,14 @@ def test_batched_matching_domain_bound():
         transform_state_slots(w, np.array([[1.0, 0.0, 0.5]]))  # theta_prior = 2*theta_new
 
 
+def test_batched_matching_domain_bound_names_first_cell():
+    w = np.tile([1.0, 0.0, 1.0, 0.1, 0.0, 0.0], (6, 1))
+    w[:, 2] = [1.0, 1.0, 1.0, 3.0, 1.0, 2.5]
+    macro = np.tile([1.0, 0.0, 1.25], (6, 1))  # cells 3 and 5 reach 2*theta_new
+    with pytest.raises(DomainError, match=r"in cell 3: theta_prior=3, theta_new=1\.25$"):
+        transform_state_slots(w, macro)
+
+
 def test_batched_fixed_basis_matching():
     f_prior = np.array([[1.0, 0.0, 0.0, 0.5, -0.1], [1.2, 0.1, 0.05, 0.2, 0.3]])
     macro = np.array([[1.1, 0.2, 1.05], [1.0, 0.0, 1.0]])

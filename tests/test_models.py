@@ -116,10 +116,13 @@ def _realizable_states(rng, n, m):
     return w
 
 
-@pytest.mark.parametrize("kind,m", [("hme", 4), ("hme", 5), ("hme", 10), ("hme", 40),
+@pytest.mark.parametrize("kind,m", [("hme", 4), ("hme", 5), ("hme", 6), ("hme", 7),
+                                    ("hme", 10), ("hme", 40),
                                     ("hsm", 3), ("hsm", 10), ("euler", 3)])
 def test_flux_operator_matches_dense_product(kind, m):
-    # M = 4 and 5 reach the regularized last row and the first sub-diagonal theta
+    # M = 4 and 5 reach the regularized last row and the first sub-diagonal
+    # theta; the last row's theta f_{M-4} / 2 reads rho at M = 4, a zeroed
+    # constraint slot at M = 5 and 6 and the first free slot at M = 7
     rng = np.random.default_rng(100 + m)
     model = make_model(kind, m)
     w = _realizable_states(rng, 64, model.n_vars)

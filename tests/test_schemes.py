@@ -8,7 +8,7 @@ import pytest
 
 from mmbgk import schemes
 from mmbgk.coupling import match_hsm_states, pi_extrapolate, transform_state_slots
-from mmbgk.errors import ConfigError, StateError, StepError
+from mmbgk.errors import ConfigError, DomainError, StateError, StepError
 from mmbgk.grid import (
     Grid1D, Field, apply_source, apply_source_exact, cfl_timestep, constant_field,
     spatial_update,
@@ -359,3 +359,17 @@ def test_invalid_state_in_the_loop_names_cell_time_and_phase():
     f, _ = _two_beam_field(n_cells=100)
     with pytest.raises(StateError, match=r"<= 0 in cell \d+ at t=[0-9.e-]+ \(source\)"):
         run(f, _cfg(scheme="micro", dt_micro=1e-3, eps=1e-5, t_end=0.5))
+
+
+def test_matching_bound_in_the_loop_names_cell_time_and_phase(monkeypatch):
+    # a macro theta below half the prior's in cell 37 crosses the bound
+    def squeeze_theta(w, macro, first_free):
+        macro = macro.copy()
+        macro[37, 2] = 0.4 * w[37, 2]
+        return transform_state_slots(w, macro, first_free)
+
+    monkeypatch.setattr(schemes, "transform_state_slots", squeeze_theta)
+    f, _ = _two_beam_field(n_cells=100)
+    with pytest.raises(DomainError, match=r"in cell 37: theta_prior=1, "
+                       r"theta_new=0\.4 at t=0\.0005 \(match\)"):
+        run(f, _cfg(scheme="mmhme", t_end=0.01))
