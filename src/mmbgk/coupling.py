@@ -4,8 +4,9 @@ Matching rebuilds M micro variables from L macro moments as the minimizer of
 the weighted L2 distance to the prior micro state. In the orthonormal basis
 that minimizer is the prior re-expanded in the new basis, with the
 constrained slots taken from the macro state: transform_state_slots does it
-for a batch of adaptive states, and match_hsm_states is the fixed-basis form,
-a carry-over of the free coefficients.
+for a batch of adaptive states and an L-wide macro state (3 <= L <= M), and
+match_hsm_states is the fixed-basis form, a carry-over of the free
+coefficients.
 """
 
 import math
@@ -44,39 +45,36 @@ def pi_extrapolate(w_k, w_km1, dt_micro: float, dt_macro: float, k: int):
     return w_k + (dt_macro - k * dt_micro) * (w_k - w_km1) / dt_micro
 
 
-def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray,
-                          first_free: int = 3) -> np.ndarray:
+def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray) -> np.ndarray:
     """Batched matching in adaptive state variables.
 
-    w_prior: (n, M) states (rho, u, theta, f_3, ...); macro_new: (n, 3) new
-    primitive moments. Returns (n, M) matched states whose slots >= first_free
-    carry the re-expanded prior and whose leading three carry macro_new.
+    w_prior: (n, M) states (rho, u, theta, f_3, ...); macro_new: (n, L) new
+    leading variables, 3 <= L <= M. Returns (n, M) matched states whose slots
+    below L carry macro_new and whose slots >= L carry the re-expanded prior.
     In state scaling the connection collapses to the convolution
     f+_b = sum_k h_k f*_{b-k} with h_0 = 1,
     m h_m = (u* - u+) h_{m-1} + (theta* - theta+) h_{m-2},
     which is the identity bitwise when the parameters coincide.
     """
     n, m = w_prior.shape
+    l = macro_new.shape[1]
     _check_weight_ratio(macro_new[:, 2], w_prior[:, 2])
     du = w_prior[:, 1] - macro_new[:, 1]
     dth = w_prior[:, 2] - macro_new[:, 2]
     # moment-major (M, n): the convolution becomes one row shift per k
     h = np.zeros((m, n))
-    h[0] = 1.0
-    if m > 1:
-        h[1] = du
+    h[0], h[1] = 1.0, du
     for k in range(2, m):
         h[k] = (du * h[k - 1] + dth * h[k - 2]) / k
     fbar = w_prior.T.copy()
     fbar[1:3] = 0.0
-    lo = max(first_free, 3)
-    acc = fbar[lo:].copy()  # the k = 0 term, h_0 = 1
+    acc = fbar[l:].copy()  # the k = 0 term, h_0 = 1
     for k in range(1, m):
-        s = max(lo, k)
-        acc[s - lo:] += h[k] * fbar[s - k:m - k]
-    out = np.zeros_like(w_prior)
-    out[:, :3] = macro_new
-    out[:, lo:] = acc.T
+        s = max(l, k)
+        acc[s - l:] += h[k] * fbar[s - k:m - k]
+    out = np.empty_like(w_prior)
+    out[:, :l] = macro_new
+    out[:, l:] = acc.T
     return out
 
 

@@ -100,10 +100,7 @@ def matching_study(n_moments: int = 8, p_scale: float = 1.2, l_values=None):
     for l in l_values:
         if not 3 <= l <= n_moments:
             raise ConfigError(f"macro size {l} out of range [3, {n_moments}]")
-        matched = transform_state_slots(
-            prior[None, :], exact[None, :3], first_free=max(3, l)
-        )[0]
-        matched[:l] = exact[:l]
+        matched = transform_state_slots(prior[None, :], exact[None, :l])[0]
         err = weighted_l2_distance(hme_state_to_expansion(matched), exact_e, weight)
         rows.append((l, err))
     return rows
@@ -127,7 +124,7 @@ def consistency_sweep(cfl_list=(0.5, 0.4, 0.27), eps: float = 1e-4,
     difference at t_end.
     """
     base = TwoBeamConfig(eps=eps, n_moments=n_moments, t_end=t_end)
-    ref_cfg = replace(base, scheme="micro", model="hme", dt_micro=eps)
+    ref_cfg = replace(base, scheme="micro", dt_micro=eps)
     field0, model = two_beam_initial(ref_cfg)
     ref = run(field0, ref_cfg)[-1]
     ref_prim = model.primitive_moments(ref.data)
@@ -135,8 +132,7 @@ def consistency_sweep(cfl_list=(0.5, 0.4, 0.27), eps: float = 1e-4,
     for scheme in ("mmhme", "cpi"):
         for cfl in cfl_list:
             dt = (cfl / 0.5) * 5e-4
-            cfg = replace(base, scheme=scheme, model="hme", dt_macro=dt, cfl=cfl,
-                          n_macro=3 if scheme == "cpi" else None, dt_micro=eps)
+            cfg = replace(base, scheme=scheme, dt_macro=dt, cfl=cfl, dt_micro=eps)
             f0, _ = two_beam_initial(cfg)
             final = run(f0, cfg)[-1]
             dist = _primitive_distance(f0.grid, model.primitive_moments(final.data), ref_prim)

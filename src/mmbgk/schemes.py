@@ -18,8 +18,10 @@ The state is converted to a cell-major Field only for snapshots, and at a
 macro step boundary restriction and matching read it through a transposed
 view. Input finiteness is checked once, when the state enters the buffer;
 after that, each step's result is checked once: after the source for a
-micro step, after the transport for an Euler substep. Errors raised there
-name the cell, the time and the phase.
+micro step, after the transport for an Euler substep, after the hand-back
+of the macro state for a macro step. Errors raised there name the cell, the
+time and the phase. Every advance of run(), a sub-pace remainder included,
+goes through step() and makes one StepReport, so the reports cover t_end.
 """
 
 from dataclasses import dataclass
@@ -225,24 +227,16 @@ class _Runner:
                 self._euler_advance(self.euler_buf, t + self.k * self.dt_micro, tau)
                 macro = self.euler_buf.cells()
         t3 = time.perf_counter()
-        if self.extrapolate and l == self.model.n_vars:
-            # no free slots, so no matching and no theta_prior < 2 theta_new
-            # bound: CPI at L = M is PI
-            new = macro
-        elif self.model.kind == "hme":
+        if self.model.kind == "hme" and l < self.model.n_vars:
             try:
-                new = transform_state_slots(w, macro[:, :3], first_free=l)
+                self.buf.load(transform_state_slots(w, macro))
             except DomainError as exc:
                 raise DomainError(f"{exc} at t={t + dt_total:g} (match)") from exc
-            new[:, 3:l] = macro[:, 3:]
-        elif not self.extrapolate:
-            new = match_hsm_states(w, macro)
+        elif self.extrapolate:  # fixed basis or L = M: the rest carries over
+            self.buf.w[:l] = macro.T
         else:
-            # fixed basis: the free slots carry over unchanged
-            new = w.copy()
-            new[:, :l] = macro
-        self.model.validate(new)
-        self.buf.load(new)
+            self.buf.load(match_hsm_states(w, macro))
+        self.buf.check(t + dt_total, "extrapolate" if self.extrapolate else "match")
         t4 = time.perf_counter()
         rep.t_micro, rep.t_restrict = t1 - t0, t2 - t1
         rep.t_macro, rep.t_match = t3 - t2, t4 - t3
@@ -250,10 +244,14 @@ class _Runner:
 
     def step(self, t: float, dt_total: float):
         """One step of dt_total from time t on the buffer; returns the time
-        reached and the step's report."""
-        if self.macro:
-            return self._macro_step(t, dt_total)
-        return self._plain_step(t, dt_total)
+        reached and the step's report. A sub-pace macro step too short to
+        hold the micro work is plain micro simulation."""
+        if not self.macro:
+            return self._plain_step(t, dt_total)
+        if (dt_total < self.pace * (1.0 - 1e-12)
+                and dt_total <= self.k * self.dt_micro * (1.0 + 1e-12)):
+            return self._micro_fill(t, dt_total)
+        return self._macro_step(t, dt_total)
 
     def _plain_step(self, t: float, dt_total: float):
         """One micro step (micro, micro-split) or one Euler advance (euler)."""
@@ -265,15 +263,16 @@ class _Runner:
         return t + dt_total, StepReport(dt_total, 1, t_micro=time.perf_counter() - t0)
 
     def _micro_fill(self, t: float, remainder: float):
-        """Cover a sub-pace interval with plain micro (or euler) stepping."""
-        if self.scheme in ("euler", "micro-split"):
-            self._plain_step(t, remainder)
-            return
-        n_full = int(math.floor(remainder / self.dt_micro * (1.0 + 1e-12)))
-        self._micro(t, self.dt_micro, n_full)
-        rem = remainder - n_full * self.dt_micro
+        """Cover a macro scheme's sub-pace interval with micro steps of
+        dt_micro and one of the rest."""
+        t0 = time.perf_counter()
+        n = int(math.floor(remainder / self.dt_micro * (1.0 + 1e-12)))
+        self._micro(t, self.dt_micro, n)
+        rem = remainder - n * self.dt_micro
         if rem > self.dt_micro * 1e-9:
-            self._micro(t + n_full * self.dt_micro, rem, 1)
+            self._micro(t + n * self.dt_micro, rem, 1)
+            n += 1
+        return t + remainder, StepReport(remainder, n, t_micro=time.perf_counter() - t0)
 
     def run(self, field0: Field):
         cfg = self.cfg
@@ -292,29 +291,15 @@ class _Runner:
         targets = [t0 + cfg.t_end * i / cfg.n_snapshots for i in range(1, cfg.n_snapshots + 1)]
         targets[-1] = t0 + cfg.t_end
         for target in targets:
-            while True:
-                r = target - t
-                # remainders below 1e-6 of the pace are absorbed into the
-                # time stamp: the state change over r is invisible at any
-                # tolerance, while a FORCE substep at nu -> 0 applies a
-                # nu-independent smoothing that would corrupt the field
-                if r <= self.pace * 1e-6:
-                    break
-                if r >= self.pace * (1.0 - 1e-12):
-                    # fold sub-permille overshoot into the final step so the
-                    # output stays continuous across step-count seams
-                    dt_step = r if r <= self.pace * (1.0 + 1e-3) else self.pace
-                    t, rep = self.step(t, dt_step)
-                    reports.append(rep)
-                    continue
-                # final sub-pace interval: macro schemes can shrink one step
-                # as long as it still holds the micro work, otherwise the
-                # interval is filled with plain micro simulation
-                if self.macro and r > self.k * self.dt_micro * (1.0 + 1e-12):
-                    reports.append(self.step(t, r)[1])
-                else:
-                    self._micro_fill(t, r)
-                break
+            # remainders below 1e-6 of the pace are absorbed into the time
+            # stamp: the state change over r is invisible at any tolerance,
+            # while a FORCE substep at nu -> 0 applies a nu-independent
+            # smoothing that would corrupt the field
+            while (r := target - t) > self.pace * 1e-6:
+                # fold sub-permille overshoot into the final step so the
+                # output stays continuous across step-count seams
+                t, rep = self.step(t, self.pace if r > self.pace * (1.0 + 1e-3) else r)
+                reports.append(rep)
             t = target
             snaps.append(Field(field0.grid, self.buf.cells(), t))
         return snaps, reports

@@ -204,8 +204,8 @@ def test_batched_matching_equals_expansion_path():
                                    rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("m,first_free", [(4, 3), (10, 3), (10, 6), (40, 3)])
-def test_batched_matching_equals_slot_convolution_bitwise(m, first_free):
+@pytest.mark.parametrize("m,l", [(4, 3), (10, 3), (10, 6), (40, 3)])
+def test_batched_matching_equals_slot_convolution_bitwise(m, l):
     # slot-by-slot form of f+_b = sum_k h_k fbar_{b-k}, summed in k order
     rng = np.random.default_rng(43 + m)
     n = 7
@@ -214,7 +214,7 @@ def test_batched_matching_equals_slot_convolution_bitwise(m, first_free):
     w[:, 1] = rng.uniform(-0.5, 0.5, size=n)
     w[:, 2] = rng.uniform(0.8, 1.5, size=n)
     w[:, 3:] = 0.1 * rng.standard_normal((n, m - 3))
-    macro = w[:, :3] * rng.uniform(0.9, 1.1, size=(n, 3))
+    macro = w[:, :l] * rng.uniform(0.9, 1.1, size=(n, l))
     du, dth = w[:, 1] - macro[:, 1], w[:, 2] - macro[:, 2]
     h = [np.ones(n), du]
     for k in range(2, m):
@@ -222,13 +222,13 @@ def test_batched_matching_equals_slot_convolution_bitwise(m, first_free):
     fbar = w.copy()
     fbar[:, 1:3] = 0.0
     ref = np.zeros_like(w)
-    ref[:, :3] = macro
-    for b in range(first_free, m):
+    ref[:, :l] = macro
+    for b in range(l, m):
         acc = fbar[:, b].copy()
         for k in range(1, b + 1):
             acc += h[k] * fbar[:, b - k]
         ref[:, b] = acc
-    np.testing.assert_array_equal(transform_state_slots(w, macro, first_free), ref)
+    np.testing.assert_array_equal(transform_state_slots(w, macro), ref)
 
 
 def test_batched_matching_identity():

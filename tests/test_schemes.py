@@ -9,6 +9,7 @@ import pytest
 from mmbgk import schemes
 from mmbgk.coupling import match_hsm_states, pi_extrapolate, transform_state_slots
 from mmbgk.errors import ConfigError, DomainError, StateError, StepError
+from mmbgk.experiments import TwoBeamConfig, two_beam_initial
 from mmbgk.grid import (
     Grid1D, Field, apply_source, apply_source_exact, cfl_timestep, constant_field,
     spatial_update,
@@ -202,14 +203,16 @@ def test_split_source_allows_larger_micro_steps():
 
 
 def test_reports_cover_the_interval():
-    f, _ = _two_beam_field(n_cells=50)
-    snaps, reports = run_with_reports(f, _cfg(t_end=0.01))
-    assert sum(r.dt for r in reports) == pytest.approx(0.01, rel=1e-12)
-    for r in reports:
-        assert isinstance(r, StepReport)
-        assert r.dt > 0 and r.micro_steps >= 1
-        for t in (r.t_micro, r.t_restrict, r.t_macro, r.t_match):
-            assert t >= 0.0
+    # t_end is 24.6 steps of 5e-4: the sub-pace remainder makes a report too
+    for scheme in ALL_SCHEMES:
+        f, cfg = _scheme_setup(scheme, t_end=0.0123)
+        snaps, reports = run_with_reports(f, cfg)
+        assert sum(r.dt for r in reports) == pytest.approx(0.0123, rel=1e-12), scheme
+        for r in reports:
+            assert isinstance(r, StepReport)
+            assert r.dt > 0 and r.micro_steps >= (scheme != "euler")
+            for t in (r.t_micro, r.t_restrict, r.t_macro, r.t_match):
+                assert t >= 0.0
 
 
 def test_runs_are_deterministic():
@@ -283,8 +286,7 @@ def _reference_run(f, cfg):
         if r.extrapolate and l == model.n_vars:
             new = macro
         elif model.kind == "hme":
-            new = transform_state_slots(f.data, macro[:, :3], first_free=l)
-            new[:, 3:l] = macro[:, 3:]
+            new = transform_state_slots(f.data, macro)
         elif not r.extrapolate:
             new = match_hsm_states(f.data, macro)
         else:
@@ -319,9 +321,9 @@ def _reference_run(f, cfg):
                 continue
             if r.macro and rem > r.k * r.dt_micro * (1.0 + 1e-12):
                 f = step(f, rem)
-                n_steps += 1
             else:
                 f = fill(f, rem)
+            n_steps += 1  # a fill is one reported step too
             break
         f.time = target
         snaps.append(f.copy())
@@ -332,7 +334,7 @@ def _reference_run(f, cfg):
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("scheme,model,n_macro", [
     (s, {"mmhsm": "hsm", "euler": "euler"}.get(s, "hme"), None) for s in ALL_SCHEMES
-] + [("pi", "hsm", None), ("cpi", "hme", 5)])
+] + [("pi", "hsm", None), ("cpi", "hme", 5), ("cpi", "hsm", 5)])
 def test_buffer_loop_matches_single_step_composition(scheme, model, n_macro, order, eps):
     # 24.6 macro steps: full steps, a shrunk last macro step or a sub-pace
     # fill; at eps = 1e-4 the mm schemes also run the Euler leftover
@@ -361,12 +363,19 @@ def test_invalid_state_in_the_loop_names_cell_time_and_phase():
         run(f, _cfg(scheme="micro", dt_micro=1e-3, eps=1e-5, t_end=0.5))
 
 
+def test_invalid_extrapolated_state_names_cell_time_and_phase():
+    # pi at eps = 1e-5 extrapolates the two-beam shock to rho or theta <= 0
+    cfg = TwoBeamConfig(scheme="pi", eps=1e-5, t_end=0.003)
+    with pytest.raises(StateError, match=r"in cell 244 at t=0\.002 \(extrapolate\)"):
+        run(two_beam_initial(cfg)[0], cfg)
+
+
 def test_matching_bound_in_the_loop_names_cell_time_and_phase(monkeypatch):
     # a macro theta below half the prior's in cell 37 crosses the bound
-    def squeeze_theta(w, macro, first_free):
+    def squeeze_theta(w, macro):
         macro = macro.copy()
         macro[37, 2] = 0.4 * w[37, 2]
-        return transform_state_slots(w, macro, first_free)
+        return transform_state_slots(w, macro)
 
     monkeypatch.setattr(schemes, "transform_state_slots", squeeze_theta)
     f, _ = _two_beam_field(n_cells=100)
