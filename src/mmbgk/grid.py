@@ -14,8 +14,9 @@ non-conservative term A(w_i) sigma_i. Boundaries are copy-outflow.
 
 A(w) is never assembled: each model's flux_operator applies it in O(n M)
 per product on moment-major (M, n) arrays, as one einsum over a coefficient
-array of the dense columns plus, for the adaptive model, a band; the dense
-system_matrices builders are kept as the test oracle and for spectra. The one FORCE body is
+array of the dense columns plus, for the adaptive model, a band. The
+models' system_matrices reads A(w) off flux_operator for spectra; the dense
+builders are the test oracle, in tests/oracles.py. The one FORCE body is
 MomentBuffer.transport. A MomentBuffer holds the cells moment-major with
 their ghosts and the step's work arrays, and advances them in place, so a
 run that owns one keeps its state there from step to step and converts to
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, StateError, StepError
+from .errors import ConfigError, StateError, StepError
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,6 @@ class MomentBuffer:
         """Cell-major (n, M) C-ordered copy of the cells."""
         return np.ascontiguousarray(self.w.T)
 
-    def check_finite(self, t: float):
-        """NumericError naming the first cell with a non-finite entry."""
-        if not np.isfinite(self.w).all():
-            bad = int(np.argwhere(~np.isfinite(self.w).all(axis=0))[0, 0])
-            raise NumericError(f"non-finite state in cell {bad} at t={t} (transport)")
-
     def check(self, t: float, phase: str):
         """The model's state check (finite, rho > 0, theta > 0) on the cells;
         the StateError names the cell, the time and the phase."""
@@ -184,14 +179,14 @@ class MomentBuffer:
 def spatial_update(f: Field, model, dt: float, order: int = 1) -> Field:
     """One explicit transport step of size dt; copy-outflow ghosts; no source.
 
-    The single-step form of MomentBuffer.transport: the input is checked for
-    finiteness and the result with model.validate. model.flux_operator(w)
-    takes moment-major states (M, n) and returns a function mapping
-    moment-major v to A(w) v.
+    The single-step form of MomentBuffer.transport: the input and the result
+    are checked with model.validate. model.flux_operator(w) takes
+    moment-major states (M, n) and returns a function mapping moment-major v
+    to A(w) v.
     """
     buf = MomentBuffer(f.grid, model, order)
     buf.load(f.data)
-    buf.check_finite(f.time)
+    buf.check(f.time, "input")
     buf.transport(dt, f.time)
     buf.check(f.time + dt, "transport")
     return Field(f.grid, buf.cells(), f.time + dt)
@@ -212,6 +207,8 @@ def cfl_timestep(f: Field, model, cfl: float) -> float:
 def _source_step(f: Field, model, eps: float, dt: float, relax) -> Field:
     if not dt > 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
+    if not eps > 0.0:
+        raise ConfigError(f"eps must be positive (inf allowed), got {eps}")
     new = relax(f.data, eps, dt)
     model.validate(new)
     return Field(f.grid, new, f.time)

@@ -6,13 +6,16 @@ the fixed-basis (HSM) model carries raw Hermite coefficients and a constant
 symmetric tridiagonal matrix; the Euler model carries (rho, u, theta) in
 primitive form with no collision source.
 
-Transport uses each model's flux_operator: built once from a batch of
-moment-major states (M, n), it returns v -> A(w) v for moment-major v in
+Each model defines its transport once, as flux_operator, and its collision
+once, as relax_moments. flux_operator, built once from a batch of
+moment-major states (M, n), returns v -> A(w) v for moment-major v in
 O(n M) without forming A. The adaptive and Euler operators hold the dense
 columns of every row in one coefficient array, (4, M, n) and (3, 3, n),
-applied by one einsum; the adaptive one adds the band on columns >= 4. The
-dense system_matrices builders are kept as the test oracle for those
-products and for spectra.
+applied by one einsum; the adaptive one adds the band on columns >= 4.
+Each class body binds the derived rest: system_matrices reads A(w) off
+flux_operator for spectra, and relax / relax_exact apply relax_moments to a
+copy. The hand-written dense builders are the test oracle, in
+tests/oracles.py.
 """
 
 from functools import lru_cache
@@ -63,6 +66,31 @@ def _relaxed(model, w, eps, factor):
     return out
 
 
+def _relax(self, w, eps, dt):
+    """Forward-Euler collision update of the cell-major states w over dt."""
+    return _relaxed(self, w, eps, 1.0 - dt / eps)
+
+
+def _relax_exact(self, w, eps, dt):
+    """Exact integration of the relaxation of the states w over dt."""
+    return _relaxed(self, w, eps, math.exp(-dt / eps))
+
+
+def _system_matrices(self, w):
+    """Dense A(w) read off flux_operator, one unit vector per column; for
+    spectra. Accepts shape (M,) or (n, M), returns (M, M) or (n, M, M)."""
+    w = np.asarray(w, dtype=float)
+    wt = np.atleast_2d(w).T
+    m, n = wt.shape
+    apply = self.flux_operator(wt)
+    a = np.empty((n, m, m))
+    for j in range(m):
+        e = np.zeros((m, n))
+        e[j] = 1.0
+        a[:, :, j] = apply(e).T
+    return a[0] if w.ndim == 1 else a
+
+
 def _euler_columns(c, rho, u, theta):
     """Fill the Euler block of a coefficient array c, c[k, b] the coefficient
     of v_k in row b of A v, for k, b < 3."""
@@ -104,51 +132,7 @@ class HMEModel:
         self._upper = b[:-1] + 1.0
         self._c2_scale = 0.5 * b - 0.5
 
-    def system_matrices(self, w):
-        """Dense flux matrices A(w), the test oracle of flux_operator.
-
-        Accepts shape (M,) or (n, M), returns (M, M) or (n, M, M). The last row
-        carries the hyperbolicity regularization: the (M-1, 1) entry is dropped
-        and the (M-1, 2) entry uses -f_{M-2} in place of (M-1) f_{M-2} / 2.
-        Entries on the constrained columns accumulate, so the sub-diagonal theta
-        only appears where the column index is an unconstrained slot (>= 3).
-        """
-        w = np.asarray(w, dtype=float)
-        squeeze = w.ndim == 1
-        w = np.atleast_2d(w)
-        n, m = w.shape
-        rho, u, theta = w[:, 0], w[:, 1], w[:, 2]
-        _check_rho_theta(rho, theta, "hme")
-        # fbar folds the consistency constraints into the recurrence pattern
-        fbar = np.zeros_like(w)
-        fbar[:, 0] = rho
-        fbar[:, 3:] = w[:, 3:]
-        a = np.zeros((n, m, m))
-        a[:, 0, 0] = u
-        a[:, 0, 1] = rho
-        a[:, 1, 0] = theta / rho
-        a[:, 1, 1] = u
-        a[:, 1, 2] = 1.0
-        a[:, 2, 1] = 2.0 * theta
-        a[:, 2, 2] = u
-        a[:, 2, 3] = 6.0 / rho
-        for b in range(3, m - 1):
-            a[:, b, 0] += -theta * fbar[:, b - 1] / rho
-            a[:, b, 1] += (b + 1) * fbar[:, b]
-            a[:, b, 2] += ((b - 1) * fbar[:, b - 1] + theta * fbar[:, b - 3]) / 2.0
-            a[:, b, 3] += -3.0 * fbar[:, b - 2] / rho
-            if b - 1 >= 3:
-                a[:, b, b - 1] += theta
-            a[:, b, b] += u
-            a[:, b, b + 1] += b + 1
-        b = m - 1
-        a[:, b, 0] += -theta * fbar[:, b - 1] / rho
-        a[:, b, 2] += -fbar[:, b - 1] + theta * fbar[:, b - 3] / 2.0
-        a[:, b, 3] += -3.0 * fbar[:, b - 2] / rho
-        if b - 1 >= 3:
-            a[:, b, b - 1] += theta
-        a[:, b, b] += u
-        return a[0] if squeeze else a
+    system_matrices, relax, relax_exact = _system_matrices, _relax, _relax_exact
 
     def flux_operator(self, wt):
         """v -> A(w) v for moment-major states wt of shape (M, n), matrix-free.
@@ -198,14 +182,6 @@ class HMEModel:
         r = largest_hermite_root(self.n_moments)
         return np.abs(w[:, 1]) + np.sqrt(w[:, 2]) * r
 
-    def relax(self, w, eps, dt):
-        """Forward-Euler collision update; multiplicative on the free slots."""
-        return _relaxed(self, w, eps, 1.0 - dt / eps)
-
-    def relax_exact(self, w, eps, dt):
-        """Exact integration of the relaxation over dt."""
-        return _relaxed(self, w, eps, math.exp(-dt / eps))
-
     def relax_moments(self, wt, eps, factor):
         """Scale the free slots of moment-major states wt (M, n) in place by
         the decay factor of the relaxation step."""
@@ -242,16 +218,9 @@ class HSMModel:
             raise ConfigError(f"hsm needs M >= 3, got {n_moments}")
         self.n_moments = n_moments
         self.n_vars = n_moments
-        # the constant symmetric tridiagonal flux matrix, off-diagonals sqrt(1..M-1)
-        off = np.sqrt(np.arange(1.0, n_moments))
-        self._matrix = np.diag(off, 1) + np.diag(off, -1)
         self._apply = hsm_flux_operator(n_moments)
 
-    def system_matrices(self, w):
-        w = np.asarray(w, dtype=float)
-        if w.ndim == 1:
-            return self._matrix.copy()
-        return np.broadcast_to(self._matrix, (w.shape[0],) + self._matrix.shape)
+    system_matrices, relax, relax_exact = _system_matrices, _relax, _relax_exact
 
     def flux_operator(self, wt):
         """State-independent: the same tridiagonal product for every batch."""
@@ -260,12 +229,6 @@ class HSMModel:
     def wave_speeds(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))
         return np.full(w.shape[0], largest_hermite_root(self.n_moments))
-
-    def relax(self, f, eps, dt):
-        return _relaxed(self, f, eps, 1.0 - dt / eps)
-
-    def relax_exact(self, f, eps, dt):
-        return _relaxed(self, f, eps, math.exp(-dt / eps))
 
     def relax_moments(self, ft, eps, factor):
         """Scale the distance of moment-major states ft (M, n) to their local
@@ -303,21 +266,7 @@ class EulerModel:
     n_vars = 3
     n_moments = 3
 
-    def system_matrices(self, w):
-        w = np.asarray(w, dtype=float)
-        squeeze = w.ndim == 1
-        w = np.atleast_2d(w)
-        rho, u, theta = w[:, 0], w[:, 1], w[:, 2]
-        _check_rho_theta(rho, theta, "euler")
-        a = np.zeros((w.shape[0], 3, 3))
-        a[:, 0, 0] = u
-        a[:, 0, 1] = rho
-        a[:, 1, 0] = theta / rho
-        a[:, 1, 1] = u
-        a[:, 1, 2] = 1.0
-        a[:, 2, 1] = 2.0 * theta
-        a[:, 2, 2] = u
-        return a[0] if squeeze else a
+    system_matrices, relax, relax_exact = _system_matrices, _relax, _relax_exact
 
     def flux_operator(self, wt):
         """v -> A(w) v for moment-major (3, n) states and vectors: one einsum
@@ -333,11 +282,8 @@ class EulerModel:
         w = np.atleast_2d(np.asarray(w, dtype=float))
         return np.abs(w[:, 1]) + np.sqrt(3.0 * w[:, 2])
 
-    def relax(self, w, eps, dt):
-        return w.copy()
-
-    def relax_exact(self, w, eps, dt):
-        return w.copy()
+    def relax_moments(self, wt, eps, factor):
+        """No collision term: the state is left as it is."""
 
     def primitive_moments(self, w):
         return np.atleast_2d(np.asarray(w, dtype=float)).copy()

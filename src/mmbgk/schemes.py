@@ -16,11 +16,12 @@ allocates once (a second one holds the mm schemes' Euler leftover). Every
 stretch of transport steps, micro or Euler, advances that buffer in place.
 The state is converted to a cell-major Field only for snapshots, and at a
 macro step boundary restriction and matching read it through a transposed
-view. Input finiteness is checked once, when the state enters the buffer;
-after that, each step's result is checked once: after the source for a
+view. The input is checked once, when the state enters the buffer, with
+the model's state check (finite, rho > 0, theta > 0) in phase "input".
+After that, each step's result is checked once: after the source for a
 micro step, after the transport for an Euler substep, after the hand-back
-of the macro state for a macro step. Errors raised there name the cell, the
-time and the phase. Every advance of run(), a sub-pace remainder included,
+of the macro state for a macro step. Every check names the cell, the time
+and the phase. Every advance of run(), a sub-pace remainder included,
 goes through step() and makes one StepReport, so the reports cover t_end.
 """
 
@@ -284,9 +285,8 @@ class _Runner:
         reports = []
         if cfg.t_end == 0.0:
             return snaps, reports
-        # the one finiteness scan of the input
         self.buf.load(field0.data)
-        self.buf.check_finite(field0.time)
+        self.buf.check(field0.time, "input")
         t = t0 = field0.time
         targets = [t0 + cfg.t_end * i / cfg.n_snapshots for i in range(1, cfg.n_snapshots + 1)]
         targets[-1] = t0 + cfg.t_end

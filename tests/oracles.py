@@ -5,6 +5,10 @@ functions here do the same one state at a time on HermiteExpansion objects,
 through the explicit basis connection matrix. The transform coefficients
 B_ij = int phi*_i phi+_j (omega+)^-1 dc have a closed form from the Hermite
 connection recurrence; the quadrature oracle pins them in the tests.
+
+The run path applies each model's flux matrix A(w) matrix-free, and the
+library's system_matrices reads A(w) off that operator. dense_flux_matrices
+writes A(w) out entry by entry, independently, as the reference for both.
 """
 
 import math
@@ -19,7 +23,7 @@ from mmbgk.basis import (
     hsm_primitives,
 )
 from mmbgk.coupling import match_hsm_states
-from mmbgk.errors import ConfigError, DomainError
+from mmbgk.errors import ConfigError, DomainError, StateError
 from mmbgk.grid import Field
 
 
@@ -92,3 +96,55 @@ def basis_transform(prior: HermiteExpansion, to: BasisParams) -> np.ndarray:
 def total_mass(f: Field) -> float:
     """dx * sum of rho; slot 0 is the density in all three models."""
     return f.grid.dx * float(np.sum(f.data[:, 0]))
+
+
+def dense_flux_matrices(model, w):
+    """Dense flux matrices A(w) of model ('hme', 'hsm' or 'euler').
+
+    Accepts shape (M,) or (n, M), returns (M, M) or (n, M, M). An adaptive
+    or Euler state with rho or theta <= 0 raises the StateError the
+    matrix-free operator raises. The adaptive last row carries the
+    hyperbolicity regularization: the (M-1, 1) entry is dropped and the
+    (M-1, 2) entry uses -f_{M-2} in place of (M-1) f_{M-2} / 2. Entries on
+    the constrained columns accumulate, so the sub-diagonal theta only
+    appears where the column index is an unconstrained slot (>= 3).
+    """
+    w = np.asarray(w, dtype=float)
+    squeeze = w.ndim == 1
+    w = np.atleast_2d(w)
+    n, m = w.shape
+    a = np.zeros((n, m, m))
+    if model.kind == "hsm":
+        # constant symmetric tridiagonal, off-diagonals sqrt(1..M-1)
+        off = np.sqrt(np.arange(1.0, m))
+        a[:] = np.diag(off, 1) + np.diag(off, -1)
+        return a[0] if squeeze else a
+    rho, u, theta = w[:, 0], w[:, 1], w[:, 2]
+    if (np.fmin(rho, theta) <= 0.0).any():
+        raise StateError(f"{model.kind} state needs rho > 0 and theta > 0")
+    a[:, 0, 0] = u
+    a[:, 0, 1] = rho
+    a[:, 1, 0] = theta / rho
+    a[:, 1, 1] = u
+    a[:, 1, 2] = 1.0
+    a[:, 2, 1] = 2.0 * theta
+    a[:, 2, 2] = u
+    if model.kind == "hme":
+        # fbar folds the consistency constraints into the recurrence pattern
+        fbar = np.zeros_like(w)
+        fbar[:, 0] = rho
+        fbar[:, 3:] = w[:, 3:]
+        a[:, 2, 3] = 6.0 / rho
+        for b in range(3, m):
+            a[:, b, 0] += -theta * fbar[:, b - 1] / rho
+            if b < m - 1:
+                a[:, b, 1] += (b + 1) * fbar[:, b]
+                a[:, b, 2] += ((b - 1) * fbar[:, b - 1] + theta * fbar[:, b - 3]) / 2.0
+                a[:, b, b + 1] += b + 1
+            else:
+                a[:, b, 2] += -fbar[:, b - 1] + theta * fbar[:, b - 3] / 2.0
+            a[:, b, 3] += -3.0 * fbar[:, b - 2] / rho
+            if b - 1 >= 3:
+                a[:, b, b - 1] += theta
+            a[:, b, b] += u
+    return a[0] if squeeze else a

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mmbgk.errors import ConfigError, NumericError, StepError
+from mmbgk.errors import ConfigError, StateError, StepError
 from mmbgk.grid import (
     Field,
     Grid1D,
@@ -16,7 +16,7 @@ from mmbgk.grid import (
     spatial_update,
 )
 from mmbgk.models import EulerModel, make_model
-from oracles import total_mass
+from oracles import dense_flux_matrices, total_mass
 
 
 class _Advection:
@@ -27,10 +27,6 @@ class _Advection:
 
     def __init__(self, a=1.0):
         self.a = a
-
-    def system_matrices(self, w):
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        return np.full((w.shape[0], 1, 1), self.a)
 
     def flux_operator(self, wt):
         return lambda v: self.a * v
@@ -145,7 +141,7 @@ def test_non_finite_state_names_cell():
     g = Grid1D(0.0, 1.0, 10)
     data = np.ones((10, 3))
     data[4, 1] = math.inf
-    with pytest.raises(NumericError, match="cell 4"):
+    with pytest.raises(StateError, match=r"cell 4 at t=0 \(input\)"):
         spatial_update(Field(g, data), EulerModel(), 1e-3)
 
 
@@ -180,9 +176,10 @@ def test_transport_preserves_mirror_symmetry(order):
 
 
 def _dense_reference_step(f, model, dt, order):
-    """The FORCE step of spatial_update, with dense A(w) applied by einsum."""
+    """The FORCE step of spatial_update, with the oracle's dense A(w) applied
+    by einsum."""
     def apply(states, vecs):
-        return np.einsum("nij,nj->ni", model.system_matrices(states), vecs)
+        return np.einsum("nij,nj->ni", dense_flux_matrices(model, states), vecs)
 
     w, nu = f.data, dt / f.grid.dx
     if order == 1:
@@ -246,6 +243,11 @@ def test_source_keeps_time_and_validates_dt():
         apply_source(f, model, 1e-2, 0.0)
     with pytest.raises(ConfigError):
         apply_source_exact(f, model, 1e-2, -1.0)
+    # eps <= 0 would divide by zero or amplify the free moments
+    for source, eps in ((apply_source, 0.0), (apply_source, -1.0),
+                        (apply_source_exact, 0.0), (apply_source_exact, -1e-3)):
+        with pytest.raises(ConfigError, match="eps must be positive"):
+            source(f, model, eps, 1e-3)
 
 
 def test_exact_source_matches_exponential():

@@ -8,7 +8,7 @@ import pytest
 from mmbgk.basis import BasisParams, hme_state_to_expansion, maxwellian_coefficients
 from mmbgk.errors import ConfigError, DomainError, StateError
 from mmbgk.models import EulerModel, hsm_flux_operator, largest_hermite_root, make_model
-from oracles import basis_transform
+from oracles import basis_transform, dense_flux_matrices
 
 SQRT2 = math.sqrt(2.0)
 
@@ -126,15 +126,22 @@ def test_flux_operator_matches_dense_product(kind, m):
     rng = np.random.default_rng(100 + m)
     model = make_model(kind, m)
     w = _realizable_states(rng, 64, model.n_vars)
-    mats = model.system_matrices(w)
+    mats = dense_flux_matrices(model, w)
+    derived = model.system_matrices(w)
+    assert derived.shape == mats.shape
     apply = model.flux_operator(w.T)
     for _ in range(2):  # one build serves every product
         v = rng.standard_normal((64, model.n_vars))
         ref = np.einsum("nij,nj->ni", mats, v)
-        got = apply(v.T).T
         # relative to the summed term magnitudes, the scale of their rounding
         scale = np.einsum("nij,nj->ni", np.abs(mats), np.abs(v))
-        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+        for got in (apply(v.T).T, np.einsum("nij,nj->ni", derived, v)):
+            assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+    # one (M,) state: (M, M) matrices
+    one = model.system_matrices(w[0])
+    assert one.shape == (model.n_vars, model.n_vars)
+    got, ref = one @ v[0], mats[0] @ v[0]
+    assert np.all(np.abs(got - ref) <= 1e-14 * (np.abs(mats[0]) @ np.abs(v[0])))
 
 
 @pytest.mark.parametrize("kind", ["hme", "euler"])
@@ -144,10 +151,12 @@ def test_flux_operator_raises_like_dense_builder(kind, slot, value):
     w = _realizable_states(np.random.default_rng(9), 5, model.n_vars)
     w[3, slot] = value
     with pytest.raises(StateError) as dense:
-        model.system_matrices(w)
+        dense_flux_matrices(model, w)
     with pytest.raises(StateError) as free:
         model.flux_operator(w.T)
-    assert str(free.value) == str(dense.value)
+    with pytest.raises(StateError) as derived:
+        model.system_matrices(w)
+    assert str(free.value) == str(dense.value) == str(derived.value)
 
 
 # --- relaxation sources ------------------------------------------------------

@@ -363,6 +363,16 @@ def test_invalid_state_in_the_loop_names_cell_time_and_phase():
         run(f, _cfg(scheme="micro", dt_micro=1e-3, eps=1e-5, t_end=0.5))
 
 
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_invalid_input_names_cell_time_and_phase(scheme):
+    # every scheme checks the entering state before its first step
+    cfg = TwoBeamConfig(scheme=scheme, n_cells=50)
+    f = two_beam_initial(cfg)[0]
+    f.data[7, 0] = -1.0
+    with pytest.raises(StateError, match=r"<= 0 in cell 7 at t=0 \(input\)"):
+        run(f, cfg)
+
+
 def test_invalid_extrapolated_state_names_cell_time_and_phase():
     # pi at eps = 1e-5 extrapolates the two-beam shock to rho or theta <= 0
     cfg = TwoBeamConfig(scheme="pi", eps=1e-5, t_end=0.003)
