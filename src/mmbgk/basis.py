@@ -74,20 +74,6 @@ def eval_basis(params: BasisParams, c, n: int) -> np.ndarray:
     return he * omega * scale.reshape((n,) + (1,) * c.ndim)
 
 
-def eval_basis_hme(alpha: int, params: BasisParams, c):
-    """Adaptive basis function phi^[u,theta]_alpha evaluated at velocity c."""
-    if alpha < 0:
-        raise DomainError(f"basis index must be >= 0, got {alpha}")
-    return eval_basis(params, c, alpha + 1)[alpha]
-
-
-def eval_basis_hsm(alpha: int, c):
-    """Fixed basis function H_alpha = phi^[0,1]_alpha evaluated at velocity c."""
-    if alpha < 0:
-        raise DomainError(f"basis index must be >= 0, got {alpha}")
-    return eval_basis(BasisParams(0.0, 1.0), c, alpha + 1)[alpha]
-
-
 @dataclass(frozen=True)
 class HermiteExpansion:
     """A length-M Hermite expansion of a distribution function.

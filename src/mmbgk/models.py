@@ -3,19 +3,18 @@
 Three models share this interface. The adaptive (HME) model carries
 w = (rho, u, theta, f_3, ..., f_{M-1}) and a state-dependent flux matrix;
 the fixed-basis (HSM) model carries raw Hermite coefficients and a constant
-symmetric tridiagonal matrix; the Euler model carries (rho, u, theta) in
-primitive form with no collision source.
+symmetric tridiagonal matrix. The Euler model is the adaptive one's leading
+(rho, u, theta) block, with no free slots and so no collision; the two bind
+the same validate, primitive_moments, equilibrium and relax_moments.
 
-Each model defines its transport once, as flux_operator, and its collision
-once, as relax_moments. flux_operator, built once from a batch of
-moment-major states (M, n), returns v -> A(w) v for moment-major v in
-O(n M) without forming A. The adaptive and Euler operators hold the dense
-columns of every row in one coefficient array, (4, M, n) and (3, 3, n),
-applied by one einsum; the adaptive one adds the band on columns >= 4.
-Each class body binds the derived rest: system_matrices reads A(w) off
-flux_operator for spectra, and relax / relax_exact apply relax_moments to a
-copy. The hand-written dense builders are the test oracle, in
-tests/oracles.py.
+Each model defines its transport once, as flux_operator: built once from a
+batch of moment-major states (M, n), it returns v -> A(w) v in O(n M)
+without forming A; the adaptive and Euler ones apply one einsum over a
+coefficient array of the dense columns. The collision decays the free
+moments by decay_factor. Each class body binds the derived rest:
+system_matrices reads A(w) off flux_operator for spectra, and relax /
+relax_exact apply relax_moments to a copy. The dense builders are the test
+oracle, in tests/oracles.py.
 """
 
 from functools import lru_cache
@@ -59,21 +58,28 @@ def _equilibrium_args(rho, u, theta):
     return rho, u, np.broadcast_to(np.asarray(theta, dtype=float), rho.shape)
 
 
-def _relaxed(model, w, eps, factor):
-    """model.relax_moments on a copy of the cell-major states w."""
+def decay_factor(dt, eps, exact):
+    """Collision decay over dt: 1 - dt/eps (forward Euler) or exp(-dt/eps)."""
+    return math.exp(-dt / eps) if exact else 1.0 - dt / eps
+
+
+def _relaxed(model, w, eps, dt, exact):
+    """model.relax_moments over dt on a copy of the cell-major states w."""
+    if not eps > 0.0:
+        raise ConfigError(f"eps must be positive (inf allowed), got {eps}")
     out = w.copy()
-    model.relax_moments(out.T, eps, factor)
+    model.relax_moments(out.T, eps, decay_factor(dt, eps, exact))
     return out
 
 
 def _relax(self, w, eps, dt):
     """Forward-Euler collision update of the cell-major states w over dt."""
-    return _relaxed(self, w, eps, 1.0 - dt / eps)
+    return _relaxed(self, w, eps, dt, False)
 
 
 def _relax_exact(self, w, eps, dt):
     """Exact integration of the relaxation of the states w over dt."""
-    return _relaxed(self, w, eps, math.exp(-dt / eps))
+    return _relaxed(self, w, eps, dt, True)
 
 
 def _system_matrices(self, w):
@@ -101,20 +107,29 @@ def _euler_columns(c, rho, u, theta):
     c[1, 2] = 2.0 * theta
 
 
-def hsm_flux_operator(m: int):
-    """v -> A v for the constant tridiagonal fixed-basis matrix, moment-major v."""
-    if m < 2:
-        raise DomainError(f"need M >= 2, got {m}")
-    off = np.sqrt(np.arange(1.0, m))[:, None]
+def _validate(self, w):
+    w = np.atleast_2d(w)
+    _check_state(w, w[:, 0], w[:, 2])
 
-    def apply(v):
-        out = np.empty_like(v, dtype=float)
-        np.multiply(off, v[1:], out=out[:-1])
-        out[-1] = 0.0
-        out[1:] += off * v[:-1]
-        return out
 
-    return apply
+def _primitive_moments(self, w):
+    """(rho, u, theta) per cell, shape (n, 3)."""
+    w = np.atleast_2d(np.asarray(w, dtype=float))
+    return w[:, :3].copy()
+
+
+def _equilibrium(self, rho, u, theta):
+    rho, u, theta = _equilibrium_args(rho, u, theta)
+    w = np.zeros((len(rho), self.n_vars))
+    w[:, 0], w[:, 1], w[:, 2] = rho, u, theta
+    return w
+
+
+def _relax_moments(self, wt, eps, factor):
+    """Scale the free slots f_3.. of moment-major states wt (M, n) in place
+    by the decay factor of the relaxation step; Euler has none."""
+    if not math.isinf(eps):
+        wt[3:] *= factor
 
 
 class HMEModel:
@@ -125,7 +140,6 @@ class HMEModel:
     def __init__(self, n_moments: int):
         if n_moments < 4:
             raise ConfigError(f"hme needs M >= 4, got {n_moments}")
-        self.n_moments = n_moments
         self.n_vars = n_moments
         # per-row constants of the flux operator, rows b = 3..M-1
         b = np.arange(3.0, n_moments)[:, None]
@@ -133,6 +147,8 @@ class HMEModel:
         self._c2_scale = 0.5 * b - 0.5
 
     system_matrices, relax, relax_exact = _system_matrices, _relax, _relax_exact
+    validate, primitive_moments = _validate, _primitive_moments
+    equilibrium, relax_moments = _equilibrium, _relax_moments
 
     def flux_operator(self, wt):
         """v -> A(w) v for moment-major states wt of shape (M, n), matrix-free.
@@ -179,33 +195,11 @@ class HMEModel:
     def wave_speeds(self, w):
         """Per-cell bound |u| + sqrt(theta) r_M with r_M the largest He_M root."""
         w = np.atleast_2d(np.asarray(w, dtype=float))
-        r = largest_hermite_root(self.n_moments)
-        return np.abs(w[:, 1]) + np.sqrt(w[:, 2]) * r
-
-    def relax_moments(self, wt, eps, factor):
-        """Scale the free slots of moment-major states wt (M, n) in place by
-        the decay factor of the relaxation step."""
-        if not math.isinf(eps):
-            wt[3:] *= factor
-
-    def primitive_moments(self, w):
-        """(rho, u, theta) per cell, shape (n, 3)."""
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        return w[:, :3].copy()
+        return np.abs(w[:, 1]) + np.sqrt(w[:, 2]) * largest_hermite_root(self.n_vars)
 
     def heat_flux(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))
         return 6.0 * w[:, 3]
-
-    def equilibrium(self, rho, u, theta):
-        rho, u, theta = _equilibrium_args(rho, u, theta)
-        w = np.zeros((len(rho), self.n_vars))
-        w[:, 0], w[:, 1], w[:, 2] = rho, u, theta
-        return w
-
-    def validate(self, w):
-        w = np.atleast_2d(w)
-        _check_state(w, w[:, 0], w[:, 2])
 
 
 class HSMModel:
@@ -216,19 +210,26 @@ class HSMModel:
     def __init__(self, n_moments: int):
         if n_moments < 3:
             raise ConfigError(f"hsm needs M >= 3, got {n_moments}")
-        self.n_moments = n_moments
         self.n_vars = n_moments
-        self._apply = hsm_flux_operator(n_moments)
+        self._off = np.sqrt(np.arange(1.0, n_moments))[:, None]
 
     system_matrices, relax, relax_exact = _system_matrices, _relax, _relax_exact
 
     def flux_operator(self, wt):
         """State-independent: the same tridiagonal product for every batch."""
-        return self._apply
+        return self._tridiagonal
+
+    def _tridiagonal(self, v):
+        """A v for moment-major v; A has off-diagonals sqrt(1..M-1)."""
+        out = np.empty_like(v, dtype=float)
+        np.multiply(self._off, v[1:], out=out[:-1])
+        out[-1] = 0.0
+        out[1:] += self._off * v[:-1]
+        return out
 
     def wave_speeds(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))
-        return np.full(w.shape[0], largest_hermite_root(self.n_moments))
+        return np.full(w.shape[0], largest_hermite_root(self.n_vars))
 
     def relax_moments(self, ft, eps, factor):
         """Scale the distance of moment-major states ft (M, n) to their local
@@ -264,9 +265,10 @@ class EulerModel:
 
     kind = "euler"
     n_vars = 3
-    n_moments = 3
 
     system_matrices, relax, relax_exact = _system_matrices, _relax, _relax_exact
+    validate, primitive_moments = _validate, _primitive_moments
+    equilibrium, relax_moments = _equilibrium, _relax_moments
 
     def flux_operator(self, wt):
         """v -> A(w) v for moment-major (3, n) states and vectors: one einsum
@@ -282,22 +284,8 @@ class EulerModel:
         w = np.atleast_2d(np.asarray(w, dtype=float))
         return np.abs(w[:, 1]) + np.sqrt(3.0 * w[:, 2])
 
-    def relax_moments(self, wt, eps, factor):
-        """No collision term: the state is left as it is."""
-
-    def primitive_moments(self, w):
-        return np.atleast_2d(np.asarray(w, dtype=float)).copy()
-
     def heat_flux(self, w):
-        w = np.atleast_2d(np.asarray(w, dtype=float))
-        return np.zeros(w.shape[0])
-
-    def equilibrium(self, rho, u, theta):
-        return np.stack(_equilibrium_args(rho, u, theta), axis=1)
-
-    def validate(self, w):
-        w = np.atleast_2d(w)
-        _check_state(w, w[:, 0], w[:, 2])
+        return np.zeros(np.atleast_2d(w).shape[0])
 
 
 def make_model(kind: str, n_moments: int = 0):

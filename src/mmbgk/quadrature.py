@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from numpy.polynomial import hermite as _herm
 from numpy.polynomial import hermite_e as _herme
 
 from .errors import ConfigError
@@ -35,19 +34,8 @@ class QuadratureRule:
         return float(self.weights @ fn(self.nodes))
 
 
-def gauss_hermite(n: int = DEFAULT_ORDER) -> QuadratureRule:
-    """Rule for integrals against exp(-c^2): sum w_k f(c_k) ~ int f exp(-c^2) dc.
-
-    Exact for polynomials of degree <= 2n-1; the weights sum to sqrt(pi).
-    """
-    if n < 1:
-        raise ConfigError(f"quadrature order must be >= 1, got {n}")
-    x, w = _herm.hermgauss(n)
-    return QuadratureRule(nodes=x, weights=w, order=n)
-
-
 def gauss_hermite_e(n: int = DEFAULT_ORDER) -> QuadratureRule:
-    """Rule for the weight exp(-c^2/2); weights sum to sqrt(2 pi)."""
+    """Rule for the weight exp(-c^2/2), exact to degree 2n-1; weights sum to sqrt(2 pi)."""
     if n < 1:
         raise ConfigError(f"quadrature order must be >= 1, got {n}")
     x, w = _herme.hermegauss(n)

@@ -16,13 +16,15 @@ allocates once (a second one holds the mm schemes' Euler leftover). Every
 stretch of transport steps, micro or Euler, advances that buffer in place.
 The state is converted to a cell-major Field only for snapshots, and at a
 macro step boundary restriction and matching read it through a transposed
-view. The input is checked once, when the state enters the buffer, with
-the model's state check (finite, rho > 0, theta > 0) in phase "input".
-After that, each step's result is checked once: after the source for a
-micro step, after the transport for an Euler substep, after the hand-back
-of the macro state for a macro step. Every check names the cell, the time
-and the phase. Every advance of run(), a sub-pace remainder included,
-goes through step() and makes one StepReport, so the reports cover t_end.
+view. The runner checks its input once, in __init__, as it loads the field
+into the buffer and before anything reads it: the model's state check
+(finite, rho > 0, theta > 0) in phase "input", so an invalid field raises
+even with t_end = 0. After that, each step's result is checked once: after
+the source for a micro step, after the transport for an Euler substep,
+after the hand-back of the macro state for a macro step. Every check names
+the cell, the time and the phase. Every advance of run(), a sub-pace
+remainder included, goes through step() and makes one StepReport, so the
+reports cover t_end.
 """
 
 from dataclasses import dataclass
@@ -31,13 +33,14 @@ import time
 
 from .coupling import match_hsm_states, pi_extrapolate, transform_state_slots
 from .errors import ConfigError, DomainError, StateError
-# spatial_update, apply_source and apply_source_exact are not called here;
-# they stay module globals because perfbench's tracer patches them by name
+# spatial_update, apply_source, apply_source_exact and cfl_timestep are not
+# called here; they stay module globals because perfbench's tracer patches
+# them by name
 from .grid import (  # noqa: F401
     Field, MomentBuffer, apply_source, apply_source_exact, cfl_limit, cfl_timestep,
     spatial_update,
 )
-from .models import EulerModel, make_model
+from .models import EulerModel, decay_factor, make_model
 
 SCHEMES = ("mmhme", "mmhsm", "pi", "cpi", "micro", "micro-split", "euler")
 _MACRO_SCHEMES = ("mmhme", "mmhsm", "pi", "cpi")
@@ -87,8 +90,6 @@ class _Runner:
     def __init__(self, field0: Field, cfg: SimConfig):
         if cfg.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {cfg.scheme!r}, pick one of {SCHEMES}")
-        if cfg.order not in (1, 2):
-            raise ConfigError(f"order must be 1 or 2, got {cfg.order}")
         if cfg.micro_steps < 1:
             raise ConfigError(f"micro_steps must be >= 1, got {cfg.micro_steps}")
         if not cfg.eps > 0.0:
@@ -97,7 +98,11 @@ class _Runner:
             raise ConfigError(f"dt_macro must be positive, got {cfg.dt_macro}")
         if not 0.0 < cfg.cfl <= 1.0:
             raise ConfigError(f"cfl must lie in (0, 1], got {cfg.cfl}")
-        self.cfg = cfg
+        if cfg.t_end < 0.0:
+            raise ConfigError(f"t_end must be >= 0, got {cfg.t_end}")
+        if cfg.n_snapshots < 1:
+            raise ConfigError(f"n_snapshots must be >= 1, got {cfg.n_snapshots}")
+        self.cfg, self.field0 = cfg, field0
         self.scheme = cfg.scheme
         self.macro = self.scheme in _MACRO_SCHEMES
         # the macro advance: extrapolation (pi, cpi) or restrict + Euler (mm)
@@ -123,26 +128,29 @@ class _Runner:
             raise ConfigError(f"cpi needs 3 <= n_macro <= {m}, got {l}")
         self.n_macro = l
         self.k = cfg.micro_steps
-        self.dt_micro = self._resolve_dt_micro(field0)
+        # the state lives in these moment-major buffers from entry to the end;
+        # the input is checked before anything reads it
+        self.buf = MomentBuffer(field0.grid, self.model, cfg.order)
+        self.buf.load(field0.data)
+        self.buf.check(field0.time, "input")
+        self.dt_micro = self._resolve_dt_micro()
         if self.macro:
             if self.k * self.dt_micro > cfg.dt_macro * (1.0 + 1e-12):
                 raise ConfigError(
                     f"micro work {self.k}*{self.dt_micro:g} exceeds dt_macro={cfg.dt_macro:g}"
                 )
-        # the state lives in these moment-major buffers from entry to the end
-        self.buf = MomentBuffer(field0.grid, self.model, cfg.order)
         if self.scheme in ("mmhme", "mmhsm"):
             self.euler_buf = MomentBuffer(field0.grid, self.euler, cfg.order)
         self.pace = self.dt_micro if self.scheme in ("micro", "micro-split") else cfg.dt_macro
 
-    def _resolve_dt_micro(self, field0: Field) -> float:
+    def _resolve_dt_micro(self) -> float:
         if self.scheme == "euler":
             return self.cfg.dt_macro
         if self.cfg.dt_micro is not None:
             if not self.cfg.dt_micro > 0.0:
                 raise ConfigError(f"dt_micro must be positive, got {self.cfg.dt_micro}")
             return self.cfg.dt_micro
-        limit = cfl_timestep(field0, self.model, self.cfg.cfl)
+        limit = cfl_limit(self.cfg.cfl, self.buf.dx, self.buf.max_speed())
         if self.extrapolate:
             # dt_micro = eps kills the stiff mode before extrapolation; the
             # projective step is unstable for sigma = 1 - dt/eps near 1/2
@@ -162,8 +170,7 @@ class _Runner:
         extrapolate from, or None.
         """
         buf, model, eps = self.buf, self.model, self.cfg.eps
-        exact = self.scheme == "micro-split"
-        factor = math.exp(-dt / eps) if exact else 1.0 - dt / eps
+        factor = decay_factor(dt, eps, exact=self.scheme == "micro-split")
         # a decay factor in [-1, 1] cannot make a valid state invalid, so a
         # failed check is charged to the transport; a larger one is the
         # unstable forward-Euler source (dt > 2 eps)
@@ -275,18 +282,12 @@ class _Runner:
             n += 1
         return t + remainder, StepReport(remainder, n, t_micro=time.perf_counter() - t0)
 
-    def run(self, field0: Field):
-        cfg = self.cfg
-        if cfg.t_end < 0.0:
-            raise ConfigError(f"t_end must be >= 0, got {cfg.t_end}")
-        if cfg.n_snapshots < 1:
-            raise ConfigError(f"n_snapshots must be >= 1, got {cfg.n_snapshots}")
+    def run(self):
+        cfg, field0 = self.cfg, self.field0
         snaps = [field0.copy()]
         reports = []
         if cfg.t_end == 0.0:
             return snaps, reports
-        self.buf.load(field0.data)
-        self.buf.check(field0.time, "input")
         t = t0 = field0.time
         targets = [t0 + cfg.t_end * i / cfg.n_snapshots for i in range(1, cfg.n_snapshots + 1)]
         targets[-1] = t0 + cfg.t_end
@@ -307,9 +308,9 @@ class _Runner:
 
 def run_with_reports(field0: Field, cfg: SimConfig):
     """Advance field0 to t_end; returns (snapshots, per-step reports)."""
-    return _Runner(field0, cfg).run(field0)
+    return _Runner(field0, cfg).run()
 
 
 def run(field0: Field, cfg: SimConfig):
     """Advance field0 to cfg.t_end, returning the snapshot list (initial included)."""
-    return _Runner(field0, cfg).run(field0)[0]
+    return _Runner(field0, cfg).run()[0]

@@ -212,7 +212,7 @@ def test_ac12_equilibrium_fixed_point_over_1000_steps(scheme):
              else make_model(model_kind, n_moments=10))
     grid = Grid1D(-10.0, 10.0, 50)
     f = constant_field(grid, model.equilibrium(1.0, 0.0, 1.0)[0])
-    kw = dict(scheme=scheme, model=model_kind, n_moments=model.n_moments,
+    kw = dict(scheme=scheme, model=model_kind, n_moments=model.n_vars,
               eps=1e-2, dt_macro=1e-3, t_end=1.0)
     if scheme in ("micro", "micro-split"):
         kw["dt_micro"] = 1e-3  # pace the run at exactly 1000 steps

@@ -15,8 +15,6 @@ from mmbgk.basis import (
     BasisParams,
     HEAT_FLUX_COEFF,
     eval_basis,
-    eval_basis_hme,
-    eval_basis_hsm,
     hermite_he_values,
     hme_expansion,
     hme_expansion_to_state,
@@ -42,16 +40,16 @@ def _gram_by_quadrature(params, n_moments, order=60):
 
 
 def test_basis_value_at_mode():
-    assert eval_basis_hme(0, BasisParams(0.0, 1.0), 0.0) == pytest.approx(1.0 / SQRT_2PI)
-    assert eval_basis_hsm(0, 0.0) == pytest.approx(1.0 / SQRT_2PI)
-    assert eval_basis_hsm(1, 0.0) == 0.0
+    phi = eval_basis(BasisParams(0.0, 1.0), 0.0, 2)
+    assert phi[0] == pytest.approx(1.0 / SQRT_2PI)
+    assert phi[1] == 0.0
 
 
 def test_basis_zero_carries_unit_mass():
     p = BasisParams(0.3, 1.7)
     rule = gaussian_rule(p.u, p.theta, n=40)
     # phi_0 = omega, so int phi_0 dc is the expectation of 1
-    mass = rule.integrate(lambda c: eval_basis_hme(0, p, c) / weight_function(p, c))
+    mass = rule.integrate(lambda c: eval_basis(p, c, 1)[0] / weight_function(p, c))
     assert abs(mass - 1.0) < 1e-13
 
 
@@ -59,7 +57,7 @@ def test_cross_orthogonality_by_quadrature():
     p = BasisParams(0.3, 1.7)
     rule = gaussian_rule(p.u, p.theta, n=40)
     val = rule.integrate(
-        lambda c: eval_basis_hme(2, p, c) * eval_basis_hme(3, p, c) / weight_function(p, c) ** 2
+        lambda c: np.prod(eval_basis(p, c, 4)[2:], axis=0) / weight_function(p, c) ** 2
     )
     assert abs(val) < 1e-13
 
@@ -85,11 +83,7 @@ def test_hermite_recurrence_matches_numpy():
 
 def test_basis_index_validation():
     with pytest.raises(DomainError):
-        eval_basis_hme(-1, BasisParams(0.0, 1.0), 0.0)
-    with pytest.raises(DomainError):
-        eval_basis_hsm(-2, 0.0)
-    with pytest.raises(DomainError):
-        eval_basis_hme(0, BasisParams(0.0, -1.0), 0.0)
+        eval_basis(BasisParams(0.0, -1.0), 0.0, 1)
     with pytest.raises(DomainError):
         weight_function(BasisParams(0.0, 0.0), 0.0)
 

@@ -7,7 +7,7 @@ import pytest
 
 from mmbgk.basis import BasisParams, hme_state_to_expansion, maxwellian_coefficients
 from mmbgk.errors import ConfigError, DomainError, StateError
-from mmbgk.models import EulerModel, hsm_flux_operator, largest_hermite_root, make_model
+from mmbgk.models import EulerModel, HMEModel, largest_hermite_root, make_model
 from oracles import basis_transform, dense_flux_matrices
 
 SQRT2 = math.sqrt(2.0)
@@ -84,10 +84,6 @@ def test_fixed_basis_matrix_literals():
         hsm_system_matrix(3),
         np.array([[0.0, 1.0, 0.0], [1.0, 0.0, SQRT2], [0.0, SQRT2, 0.0]]),
     )
-    # below the model's M >= 3 the matrix-free operator still holds the literal
-    np.testing.assert_array_equal(hsm_flux_operator(2)(np.eye(2)), [[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(DomainError):
-        hsm_flux_operator(1)
 
 
 def test_fixed_basis_spectral_radius_m10():
@@ -307,6 +303,23 @@ def test_relax_is_single_factor_decay():
     np.testing.assert_array_equal(out[:, 3:], w[:, 3:] * (1.0 - 0.004 / 0.01))
     out = hme.relax_exact(w, 0.01, 0.004)
     np.testing.assert_array_equal(out[:, 3:], w[:, 3:] * math.exp(-0.4))
+
+
+@pytest.mark.parametrize("kind", ["hme", "hsm", "euler"])
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+def test_relax_rejects_nonpositive_eps(kind, eps):
+    # eps = 0 would divide by zero; eps < 0 would amplify the free moments
+    model = make_model(kind, 6)
+    w = model.equilibrium(1.0, 0.2, 1.1)
+    for relax in (model.relax, model.relax_exact):
+        with pytest.raises(ConfigError, match="eps must be positive"):
+            relax(w, eps, 1e-3)
+
+
+def test_euler_binds_the_adaptive_state_rules():
+    # Euler is the adaptive model's leading block: one object per rule
+    for name in ("validate", "primitive_moments", "equilibrium", "relax_moments"):
+        assert EulerModel.__dict__[name] is HMEModel.__dict__[name], name
 
 
 def test_relax_exact_fixed_basis_targets_maxwellian():
