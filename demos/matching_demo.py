@@ -18,8 +18,8 @@ print(f"prior moments: rho={prior.coeffs[0]:.3f} "
 # one matching step by hand on a batch of one cell: the restriction is the
 # leading (rho, u, theta) slots, which take the new macro state, while the
 # free slots carry the prior re-expanded around it
-target = np.array([[1.2, 1.2, 1.2]])
-matched_w = transform_state_slots(w[None, :], target)[0]
+target = np.array([[1.2], [1.2], [1.2]])
+matched_w = transform_state_slots(w[:, None], target)[:, 0]
 matched = hme_state_to_expansion(matched_w)
 print("macro after matching:", matched_w[:3])
 print("carried free coefficients:", np.round(matched.coeffs[3:], 6))

@@ -169,22 +169,35 @@ def maxwellian_coefficients(rho, u, theta, n_moments: int) -> np.ndarray:
 
     Three-term recurrence in (u, theta - 1):
         m_{a+1} = (u m_a + sqrt(a) (theta - 1) m_{a-1}) / sqrt(a + 1),
-    seeded with m_0 = rho. Scalar arguments give shape (M,), arrays of shape
-    (k,) give (k, M). Validated against quadrature projection in the tests.
+    seeded with m_0 = rho. Arguments of the common shape s give shape
+    s + (M,): (M,) for scalars, (k, M) for arrays of shape (k,). The
+    recurrence runs on contiguous moment rows (M,) + s, and the result is a
+    transposed view of them, so ``.T`` of a (k, M) result is its (M, k)
+    rows. Validated against quadrature projection in the tests.
     """
     rho, u, theta = np.broadcast_arrays(
         np.asarray(rho, dtype=float), np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
     )
-    if np.any(rho <= 0.0) or np.any(theta <= 0.0):
+    # fmin skips a NaN operand: true exactly where rho <= 0 or theta <= 0
+    if (np.fmin(rho, theta) <= 0.0).any():
         raise StateError("Maxwellian needs rho > 0 and theta > 0")
-    m = np.zeros(rho.shape + (n_moments,))
-    m[..., 0] = rho
+    shape = rho.shape
+    # flat rows keep every row an array, 0-d inputs included
+    rho, u, theta = rho.ravel(), u.ravel(), theta.ravel()
+    m = np.empty((n_moments, rho.size))
+    m[0] = rho
     if n_moments > 1:
-        m[..., 1] = u * rho
+        np.multiply(u, rho, out=m[1])
     tm1 = theta - 1.0
+    term = np.empty_like(tm1)  # sqrt(a) (theta - 1) m_{a-1}, one row reused
     for a in range(1, n_moments - 1):
-        m[..., a + 1] = (u * m[..., a] + math.sqrt(a) * tm1 * m[..., a - 1]) / math.sqrt(a + 1)
-    return m
+        row = m[a + 1]
+        np.multiply(u, m[a], out=row)
+        np.multiply(math.sqrt(a), tm1, out=term)
+        term *= m[a - 1]
+        row += term
+        row /= math.sqrt(a + 1)
+    return m.reshape((n_moments,) + shape).transpose(*range(1, len(shape) + 1), 0)
 
 
 def state_to_orthonormal(theta, f_state: np.ndarray, offset: int = 3) -> np.ndarray:

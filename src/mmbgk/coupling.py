@@ -7,6 +7,11 @@ constrained slots taken from the macro state: transform_state_slots does it
 for a batch of adaptive states and an L-wide macro state (3 <= L <= M), and
 match_hsm_states is the fixed-basis form, a carry-over of the free
 coefficients.
+
+Batches are moment-major, the layout of the run's grid.MomentBuffer: row a
+of a prior (M, n) or a macro state (L, n) holds variable a of every cell,
+so the runner passes its buffer's rows and writes back only the rows that
+change.
 """
 
 import math
@@ -34,7 +39,8 @@ def _check_weight_ratio(theta_new, theta_prior):
 
 
 def pi_extrapolate(w_k, w_km1, dt_micro: float, dt_macro: float, k: int):
-    """w_K + (dt_macro - K dt_micro)(w_K - w_{K-1})/dt_micro, elementwise."""
+    """w_K + (dt_macro - K dt_micro)(w_K - w_{K-1})/dt_micro, elementwise,
+    so of any layout; the runner passes the leading (L, n) rows."""
     if not dt_micro > 0.0 or dt_macro < k * dt_micro:
         raise ConfigError(
             f"need dt_macro >= K*dt_micro > 0, got dt_macro={dt_macro}, "
@@ -48,41 +54,44 @@ def pi_extrapolate(w_k, w_km1, dt_micro: float, dt_macro: float, k: int):
 def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray) -> np.ndarray:
     """Batched matching in adaptive state variables.
 
-    w_prior: (n, M) states (rho, u, theta, f_3, ...); macro_new: (n, L) new
-    leading variables, 3 <= L <= M. Returns (n, M) matched states whose slots
-    below L carry macro_new and whose slots >= L carry the re-expanded prior.
-    In state scaling the connection collapses to the convolution
-    f+_b = sum_k h_k f*_{b-k} with h_0 = 1,
+    w_prior: (M, n) states (rho, u, theta, f_3, ...) as rows; macro_new:
+    (L, n) new leading variables, 3 <= L <= M. Returns (M, n) matched states
+    whose rows below L carry macro_new and whose rows >= L carry the
+    re-expanded prior. In state scaling the connection collapses to the
+    convolution f+_b = sum_k h_k f*_{b-k} with h_0 = 1,
     m h_m = (u* - u+) h_{m-1} + (theta* - theta+) h_{m-2},
     which is the identity bitwise when the parameters coincide.
     """
-    n, m = w_prior.shape
-    l = macro_new.shape[1]
-    _check_weight_ratio(macro_new[:, 2], w_prior[:, 2])
-    du = w_prior[:, 1] - macro_new[:, 1]
-    dth = w_prior[:, 2] - macro_new[:, 2]
-    # moment-major (M, n): the convolution becomes one row shift per k
+    m, n = w_prior.shape
+    l = macro_new.shape[0]
+    _check_weight_ratio(macro_new[2], w_prior[2])
+    du = w_prior[1] - macro_new[1]
+    dth = w_prior[2] - macro_new[2]
+    # on rows the convolution is one row shift per k
     h = np.zeros((m, n))
     h[0], h[1] = 1.0, du
     for k in range(2, m):
         h[k] = (du * h[k - 1] + dth * h[k - 2]) / k
-    fbar = w_prior.T.copy()
+    fbar = w_prior.copy()
     fbar[1:3] = 0.0
-    acc = fbar[l:].copy()  # the k = 0 term, h_0 = 1
+    out = np.empty((m, n))
+    out[:l] = macro_new
+    acc = out[l:]
+    acc[...] = fbar[l:]  # the k = 0 term, h_0 = 1
     for k in range(1, m):
         s = max(l, k)
         acc[s - l:] += h[k] * fbar[s - k:m - k]
-    out = np.empty_like(w_prior)
-    out[:, :l] = macro_new
-    out[:, l:] = acc.T
     return out
 
 
 def match_hsm_states(f_prior: np.ndarray, macro_new: np.ndarray) -> np.ndarray:
-    """Batched fixed-basis matching: constraint slots rebuilt, the rest carried over."""
-    rho_n, u_n, theta_n = macro_new[:, 0], macro_new[:, 1], macro_new[:, 2]
+    """Batched fixed-basis matching of rows f_prior (M, n) to the macro
+    state (3, n): the constraint rows 0-2 rebuilt, the rest carried over.
+    Rows >= 3 are never read, so f_prior = the first three rows gives the
+    three rows that change."""
+    rho_n, u_n, theta_n = macro_new[0], macro_new[1], macro_new[2]
     out = f_prior.copy()
-    out[:, 0] = rho_n
-    out[:, 1] = rho_n * u_n
-    out[:, 2] = (rho_n * theta_n + rho_n * u_n * u_n - rho_n) / _SQRT2
+    out[0] = rho_n
+    out[1] = rho_n * u_n
+    out[2] = (rho_n * theta_n + rho_n * u_n * u_n - rho_n) / _SQRT2
     return out

@@ -100,7 +100,7 @@ def matching_study(n_moments: int = 8, p_scale: float = 1.2, l_values=None):
     for l in l_values:
         if not 3 <= l <= n_moments:
             raise ConfigError(f"macro size {l} out of range [3, {n_moments}]")
-        matched = transform_state_slots(prior[None, :], exact[None, :l])[0]
+        matched = transform_state_slots(prior[:, None], exact[:l, None])[:, 0]
         err = weighted_l2_distance(hme_state_to_expansion(matched), exact_e, weight)
         rows.append((l, err))
     return rows

@@ -20,10 +20,12 @@ builders are the test oracle, in tests/oracles.py. The one FORCE body is
 MomentBuffer.transport. A MomentBuffer holds the cells moment-major with
 their ghosts and the step's work arrays, and advances them in place, so a
 run that owns one keeps its state there from step to step and converts to
-a cell-major Field only where a caller reads one. Field.data stays
-cell-major (n, M). spatial_update, apply_source, apply_source_exact and
-cfl_timestep are single-step forms on a Field that no run calls; the tests
-compose them into a reference run.
+a cell-major Field only where a caller reads one: MomentBuffer.load and
+cells are called by the runner for its input and its snapshots and by
+spatial_update, not inside a step. Field.data stays cell-major (n, M).
+spatial_update, apply_source, apply_source_exact and cfl_timestep are
+single-step forms on a Field that no run calls; the tests compose them into
+a reference run.
 """
 
 from dataclasses import dataclass

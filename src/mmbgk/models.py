@@ -10,8 +10,10 @@ the same validate, primitive_moments, equilibrium and relax_moments.
 Each model defines its transport once, as flux_operator: built once from a
 batch of moment-major states (M, n), it returns v -> A(w) v in O(n M)
 without forming A; the adaptive and Euler ones apply one einsum over a
-coefficient array of the dense columns. The collision decays the free
-moments by decay_factor. Each class body binds the derived rest:
+coefficient array of the dense columns. The collision, relax_moments,
+decays the free moments by decay_factor in place on moment-major rows; the
+fixed-basis one blends towards a local Maxwellian built as rows. Each class
+body binds the derived rest:
 system_matrices reads A(w) off flux_operator for spectra, and relax /
 relax_exact apply relax_moments to a copy. The dense builders are the test
 oracle, in tests/oracles.py.
@@ -99,7 +101,8 @@ def _system_matrices(self, w):
 
 def _euler_columns(c, rho, u, theta):
     """Fill the Euler block of a coefficient array c, c[k, b] the coefficient
-    of v_k in row b of A v, for k, b < 3."""
+    of v_k in row b of A v, for k, b < 3, its two zeros included."""
+    c[2, 0] = c[0, 2] = 0.0
     c[0, 0] = c[1, 1] = c[2, 2] = u
     c[1, 0] = rho
     c[0, 1] = theta / rho
@@ -168,7 +171,9 @@ class HMEModel:
         fbar = wt.copy()
         fbar[1:3] = 0.0
         six_rho = 6.0 / rho
-        c = np.zeros((4, m, wt.shape[1]))
+        # every entry is written below; these three stay zero
+        c = np.empty((4, m, wt.shape[1]))
+        c[3, 0] = c[3, 1] = c[1, m - 1] = 0.0
         _euler_columns(c, rho, u, theta)
         c[3, 2] = six_rho
         # rows b = 3..M-1; the last row drops column 1 and takes -f_{M-2} in
@@ -232,14 +237,20 @@ class HSMModel:
         return np.full(w.shape[0], largest_hermite_root(self.n_vars))
 
     def relax_moments(self, ft, eps, factor):
-        """Scale the distance of moment-major states ft (M, n) to their local
-        Maxwellian by the decay factor, in place."""
+        """Scale the distance of moment-major states ft (M, n), or of one
+        state (M,), to their local Maxwellian by the decay factor, in place.
+
+        The Maxwellian comes as rows (its maxwellian_coefficients view
+        transposed) and the blend m + (f - m) factor runs on ft itself; IEEE
+        addition commutes, so the in-place order gives the same bits.
+        """
         if math.isinf(eps):
             return
-        f = ft.T
-        rho, u, theta = hsm_primitives(f)
-        m = maxwellian_coefficients(rho, u, theta, self.n_vars)
-        f[...] = m + (f - m) * factor
+        rho, u, theta = hsm_primitives(ft.T)
+        m = maxwellian_coefficients(rho, u, theta, self.n_vars).T
+        ft -= m
+        ft *= factor
+        ft += m
 
     def primitive_moments(self, f):
         f = np.atleast_2d(np.asarray(f, dtype=float))
@@ -276,7 +287,7 @@ class EulerModel:
         row b."""
         wt = np.asarray(wt, dtype=float)
         _check_rho_theta(wt[0], wt[2], "euler")
-        c = np.zeros((3, 3, wt.shape[1]))
+        c = np.empty((3, 3, wt.shape[1]))
         _euler_columns(c, wt[0], wt[1], wt[2])
         return lambda v: np.einsum("kmn,kn->mn", c, v)
 

@@ -14,10 +14,13 @@ and euler are the single-model references the experiments compare against.
 A run keeps its state in a moment-major grid.MomentBuffer that the runner
 allocates once (a second one holds the mm schemes' Euler leftover). Every
 stretch of transport steps, micro or Euler, advances that buffer in place.
-The state is converted to a cell-major Field only for snapshots, and at a
-macro step boundary restriction and matching read it through a transposed
-view. The runner checks its input once, in __init__, as it loads the field
-into the buffer and before anything reads it: the model's state check
+The state is converted to a cell-major Field only for snapshots. A macro
+step stays on rows: restriction writes the (rho, u, theta) rows of the last
+micro state into the Euler buffer, which the leftover advances in place;
+the L macro rows (those, or the extrapolated ones) go to the coupling
+operators with the buffer's rows, and the runner writes back only the rows
+that change. The runner checks its input once, in __init__, as it loads the
+field into the buffer and before anything reads it: the model's state check
 (finite, rho > 0, theta > 0) in phase "input", so an invalid field raises
 even with t_end = 0. After that, each step's result is checked once: after
 the source for a micro step, after the transport for an Euler substep,
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 import math
 import time
 
+from .basis import hsm_primitives
 from .coupling import match_hsm_states, pi_extrapolate, transform_state_slots
 from .errors import ConfigError, DomainError, StateError
 # spatial_update, apply_source, apply_source_exact and cfl_timestep are not
@@ -216,34 +220,41 @@ class _Runner:
         return t
 
     def _macro_step(self, t: float, dt_total: float):
-        """Micro steps, macro advance of the leading n_macro variables, match."""
-        l = self.n_macro
+        """Micro steps, macro advance of the leading n_macro variables, match.
+
+        Everything stays moment-major: the macro state is L rows (the
+        extrapolated ones, or the Euler buffer's), and only the buffer rows
+        that change are written back before the check.
+        """
+        l, w = self.n_macro, self.buf.w
         rep = StepReport(dt=dt_total, micro_steps=self.k)
         t0 = time.perf_counter()
         prev = self._micro(t, self.dt_micro, self.k, keep=l if self.extrapolate else 0)
-        w = self.buf.w.T  # the last micro state, cell-major view
         t1 = t2 = time.perf_counter()
         tau = self._leftover(dt_total)
         if self.extrapolate:
             dt_eff = self.k * self.dt_micro + tau
-            macro = pi_extrapolate(w[:, :l], prev.T, self.dt_micro, dt_eff, self.k)
+            macro = pi_extrapolate(w[:l], prev, self.dt_micro, dt_eff, self.k)
         else:
-            macro = self.model.primitive_moments(w)
+            # restriction: the (rho, u, theta) rows of the last micro state
+            macro = self.euler_buf.w
+            if self.model.kind == "hsm":
+                macro[0], macro[1], macro[2] = hsm_primitives(w.T)
+            else:
+                macro[...] = w[:3]
             t2 = time.perf_counter()
             if tau > 0.0:
-                self.euler_buf.load(macro)
                 self._euler_advance(self.euler_buf, t + self.k * self.dt_micro, tau)
-                macro = self.euler_buf.cells()
         t3 = time.perf_counter()
         if self.model.kind == "hme" and l < self.model.n_vars:
             try:
-                self.buf.load(transform_state_slots(w, macro))
+                w[...] = transform_state_slots(w, macro)
             except DomainError as exc:
                 raise DomainError(f"{exc} at t={t + dt_total:g} (match)") from exc
         elif self.extrapolate:  # fixed basis or L = M: the rest carries over
-            self.buf.w[:l] = macro.T
-        else:
-            self.buf.load(match_hsm_states(w, macro))
+            w[:l] = macro
+        else:  # fixed basis: the free rows carry over in place
+            w[:3] = match_hsm_states(w[:3], macro)
         self.buf.check(t + dt_total, "extrapolate" if self.extrapolate else "match")
         t4 = time.perf_counter()
         rep.t_micro, rep.t_restrict = t1 - t0, t2 - t1

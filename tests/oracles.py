@@ -77,8 +77,8 @@ def match_l2(prior: HermiteExpansion, macro_new) -> HermiteExpansion:
     """Micro state consistent with macro_new = (rho+, u+, theta+), closest to prior."""
     rho_n, u_n, theta_n = (float(v) for v in macro_new)
     if prior.model == "hsm":
-        macro = np.array([[rho_n, u_n, theta_n]])
-        return hsm_expansion(match_hsm_states(prior.coeffs[None, :], macro)[0])
+        macro = np.array([[rho_n], [u_n], [theta_n]])
+        return hsm_expansion(match_hsm_states(prior.coeffs[:, None], macro)[:, 0])
     # orthonormal bases make the normal-equation matrix the identity, so
     # the minimizer is the prior re-expanded in the new basis
     ftilde = basis_transform(prior, BasisParams(u_n, theta_n))

@@ -131,10 +131,24 @@ def test_maxwellian_projection_sweep():
 
 
 def test_maxwellian_broadcasting():
+    # shape rho.shape + (M,), every cell bitwise the scalar call
     assert maxwellian_coefficients(1.0, 0.0, 1.0, 6).shape == (6,)
+    m0 = maxwellian_coefficients(np.array(1.3), np.array(0.2), np.array(0.9), 6)
+    assert m0.shape == (6,)
+    np.testing.assert_array_equal(m0, maxwellian_coefficients(1.3, 0.2, 0.9, 6))
     m = maxwellian_coefficients(np.array([1.0, 2.0]), np.array([0.1, -0.1]), 1.0, 6)
     assert m.shape == (2, 6)
     np.testing.assert_array_equal(m[0], maxwellian_coefficients(1.0, 0.1, 1.0, 6))
+    np.testing.assert_array_equal(m[1], maxwellian_coefficients(2.0, -0.1, 1.0, 6))
+    rng = np.random.default_rng(17)
+    rho = rng.uniform(0.5, 2.0, (2, 3))
+    u = rng.uniform(-0.5, 0.5, (2, 3))
+    theta = rng.uniform(0.8, 1.5, (1, 3))  # broadcast over the first axis
+    m2 = maxwellian_coefficients(rho, u, theta, 7)
+    assert m2.shape == (2, 3, 7)
+    for i, j in np.ndindex(2, 3):
+        np.testing.assert_array_equal(
+            m2[i, j], maxwellian_coefficients(rho[i, j], u[i, j], theta[0, j], 7))
 
 
 def test_maxwellian_rejects_bad_state():

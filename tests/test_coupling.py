@@ -196,7 +196,7 @@ def test_batched_matching_equals_expansion_path():
     w_prior[:, 2] = rng.uniform(0.8, 1.5, size=6)
     w_prior[:, 3:] = 0.1 * rng.standard_normal((6, 5))
     macro = w_prior[:, :3] * rng.uniform(0.95, 1.05, size=(6, 3))
-    out = transform_state_slots(w_prior, macro)
+    out = transform_state_slots(w_prior.T, macro.T).T
     for i in range(6):
         prior = hme_state_to_expansion(w_prior[i])
         matched = match_l2(prior, macro[i])
@@ -228,7 +228,7 @@ def test_batched_matching_equals_slot_convolution_bitwise(m, l):
         for k in range(1, b + 1):
             acc += h[k] * fbar[:, b - k]
         ref[:, b] = acc
-    np.testing.assert_array_equal(transform_state_slots(w, macro), ref)
+    np.testing.assert_array_equal(transform_state_slots(w.T, macro.T).T, ref)
 
 
 def test_batched_matching_identity():
@@ -237,13 +237,13 @@ def test_batched_matching_identity():
     w[:, 0], w[:, 2] = 1.0, 1.0
     w[:, 1] = rng.uniform(-0.5, 0.5, size=4)
     w[:, 3:] = 0.05 * rng.standard_normal((4, 3))
-    np.testing.assert_array_equal(transform_state_slots(w, w[:, :3].copy()), w)
+    np.testing.assert_array_equal(transform_state_slots(w.T, w[:, :3].T.copy()).T, w)
 
 
 def test_batched_matching_domain_bound():
     w = np.array([[1.0, 0.0, 1.0, 0.1, 0.0, 0.0]])
     with pytest.raises(DomainError):
-        transform_state_slots(w, np.array([[1.0, 0.0, 0.5]]))  # theta_prior = 2*theta_new
+        transform_state_slots(w.T, np.array([[1.0, 0.0, 0.5]]).T)  # theta_prior = 2*theta_new
 
 
 def test_batched_matching_domain_bound_names_first_cell():
@@ -251,13 +251,13 @@ def test_batched_matching_domain_bound_names_first_cell():
     w[:, 2] = [1.0, 1.0, 1.0, 3.0, 1.0, 2.5]
     macro = np.tile([1.0, 0.0, 1.25], (6, 1))  # cells 3 and 5 reach 2*theta_new
     with pytest.raises(DomainError, match=r"in cell 3: theta_prior=3, theta_new=1\.25$"):
-        transform_state_slots(w, macro)
+        transform_state_slots(w.T, macro.T)
 
 
 def test_batched_fixed_basis_matching():
     f_prior = np.array([[1.0, 0.0, 0.0, 0.5, -0.1], [1.2, 0.1, 0.05, 0.2, 0.3]])
     macro = np.array([[1.1, 0.2, 1.05], [1.0, 0.0, 1.0]])
-    out = match_hsm_states(f_prior, macro)
+    out = match_hsm_states(f_prior.T, macro.T).T
     for i in range(2):
         viaexp = match_l2(hsm_expansion(f_prior[i]), macro[i])
         np.testing.assert_array_equal(out[i], viaexp.coeffs)

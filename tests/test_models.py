@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mmbgk.basis import BasisParams, hme_state_to_expansion, maxwellian_coefficients
+from mmbgk.basis import (
+    BasisParams, hme_state_to_expansion, hsm_primitives, maxwellian_coefficients,
+)
 from mmbgk.errors import ConfigError, DomainError, StateError
-from mmbgk.models import EulerModel, HMEModel, largest_hermite_root, make_model
+from mmbgk.models import EulerModel, HMEModel, decay_factor, largest_hermite_root, make_model
 from oracles import basis_transform, dense_flux_matrices
 
 SQRT2 = math.sqrt(2.0)
@@ -203,6 +205,39 @@ def test_fixed_basis_source_structure():
         np.testing.assert_array_equal(relax(f, math.inf, 0.1), f)
     with pytest.raises(StateError):
         make_model("hsm", 4).relax(np.array([[1.0, 0.0, -2.0, 0.0]]), 1.0, 0.1)
+
+
+@pytest.mark.parametrize("m", [3, 4, 10, 40])
+@pytest.mark.parametrize("exact", [False, True])
+def test_fixed_basis_relaxation_on_buffer_rows_is_cell_formula_bitwise(m, exact):
+    # relax_moments blends in place on a ghosted, non-contiguous moment-major
+    # view like MomentBuffer.w; the reference is m + (f - m) factor per cell
+    # with the Maxwellian of that cell alone
+    rng = np.random.default_rng(90 + m)
+    n, g = 9, 2
+    hsm = make_model("hsm", m)
+    cells = hsm.equilibrium(rng.uniform(0.5, 2.0, n), rng.uniform(-0.5, 0.5, n),
+                            rng.uniform(0.8, 1.5, n))
+    cells += 0.05 * rng.standard_normal((n, m))
+    eps, factor = 1e-4, decay_factor(3e-5, 1e-4, exact)
+    ref = np.empty_like(cells)
+    for i, f in enumerate(cells):
+        mx = maxwellian_coefficients(*hsm_primitives(f), m)
+        ref[i] = mx + (f - mx) * factor
+    we = np.full((m, n + 2 * g), np.nan)  # ghosts: never read, never written
+    ft = we[:, g:g + n]
+    ft[...] = cells.T
+    hsm.relax_moments(ft, eps, factor)
+    np.testing.assert_array_equal(ft.T, ref)
+    assert np.isnan(we[:, :g]).all() and np.isnan(we[:, g + n:]).all()
+    # one (M,) state relaxes by the same formula
+    f = cells[4].copy()
+    hsm.relax_moments(f, eps, factor)
+    np.testing.assert_array_equal(f, ref[4])
+    # eps = inf leaves the rows untouched
+    before = we.copy()
+    hsm.relax_moments(ft, math.inf, factor)
+    np.testing.assert_array_equal(we, before)
 
 
 # --- Euler model -------------------------------------------------------------

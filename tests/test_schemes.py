@@ -286,9 +286,9 @@ def _reference_run(f, cfg):
         if r.extrapolate and l == model.n_vars:
             new = macro
         elif model.kind == "hme":
-            new = transform_state_slots(f.data, macro)
+            new = transform_state_slots(f.data.T, macro.T).T
         elif not r.extrapolate:
-            new = match_hsm_states(f.data, macro)
+            new = match_hsm_states(f.data.T, macro.T).T
         else:
             new = f.data.copy()
             new[:, :l] = macro
@@ -389,7 +389,7 @@ def test_matching_bound_in_the_loop_names_cell_time_and_phase(monkeypatch):
     # a macro theta below half the prior's in cell 37 crosses the bound
     def squeeze_theta(w, macro):
         macro = macro.copy()
-        macro[37, 2] = 0.4 * w[37, 2]
+        macro[2, 37] = 0.4 * w[2, 37]
         return transform_state_slots(w, macro)
 
     monkeypatch.setattr(schemes, "transform_state_slots", squeeze_theta)
