@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 configuration problem (bad flags, invalid
 combinations, unreadable config file), 1 runtime failure (CFL violation,
-realizability breach, IO error).
+invalid state, realizability breach such as the matching bound, IO error).
 """
 
 import argparse
@@ -229,10 +229,10 @@ def parse_and_dispatch(argv=None) -> int:
             "bench": _run_bench,
         }[args.command]
         return handler(args)
-    except (ConfigError, DomainError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (StepError, StateError, NumericError, OSError) as e:
+    except (StepError, StateError, DomainError, NumericError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

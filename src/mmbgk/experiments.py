@@ -144,7 +144,7 @@ def speedup_bench(eps_list=(1e-3, 1e-4, 1e-5), t_end: float = 0.1):
     """Wall-time of micro, mm, and Euler-only two-beam runs per stiffness.
 
     Timing is single-threaded wall clock; speedup is relative to the
-    MicroExplicit run at the same eps. Each scheme's runs are repeated until
+    micro run at the same eps. Each scheme's runs are repeated until
     half a second of cumulative wall time (at most five repeats) and the
     minimum is reported, so sub-second schemes are not at the mercy of
     scheduler noise. Each repeat runs the eps values back to back, so their

@@ -11,30 +11,39 @@ from the last two micro states. PI carries all L = M variables, which leaves
 no slot to match, so CPI at L = M is PI by construction. micro, micro-split
 and euler are the single-model references the experiments compare against.
 
+The micro step size dt_micro is fixed once, in __init__, as the smallest of
+its caps: the CFL limit of the entering state; eps for pi/cpi or eps/2 for
+the other forward-Euler sources (micro-split's exact source has none); and
+dt_macro/K for the macro schemes. An explicit dt_micro wins; euler has no
+micro step. Every advance of run() goes through step(), which covers its
+interval one of four ways: euler in CFL-limited Euler substeps; micro and
+micro-split in one micro step; a macro scheme's sub-pace remainder too short
+for its K micro steps in micro steps of dt_micro and one of the rest; and
+anything else in one macro step. Each advance makes one StepReport, so the
+reports cover t_end.
+
 A run keeps its state in a moment-major grid.MomentBuffer that the runner
-allocates once (a second one holds the mm schemes' Euler leftover). Every
-stretch of transport steps, micro or Euler, advances that buffer in place.
-The state is converted to a cell-major Field only for snapshots. A macro
-step stays on rows: restriction writes the (rho, u, theta) rows of the last
-micro state into the Euler buffer, which the leftover advances in place;
-the L macro rows (those, or the extrapolated ones) go to the coupling
-operators with the buffer's rows, and the runner writes back only the rows
-that change. The runner checks its input once, in __init__, as it loads the
+allocates once (a second one holds the mm schemes' Euler leftover), and
+every stretch of transport steps advances it in place. The state is
+converted to a cell-major Field only for snapshots. A macro step stays on
+rows: restriction writes the model's (rho, u, theta) rows of the last micro
+state into the Euler buffer, which the leftover advances in place; the L
+macro rows (those, or the extrapolated ones) go to the coupling operators
+with the buffer's rows, and the runner writes back only the rows that
+change. The runner checks its input once, in __init__, as it loads the
 field into the buffer and before anything reads it: the model's state check
 (finite, rho > 0, theta > 0) in phase "input", so an invalid field raises
 even with t_end = 0. After that, each step's result is checked once: after
 the source for a micro step, after the transport for an Euler substep,
-after the hand-back of the macro state for a macro step. Every check names
-the cell, the time and the phase. Every advance of run(), a sub-pace
-remainder included, goes through step() and makes one StepReport, so the
-reports cover t_end.
+after the hand-back of the macro state for a macro step; cpi on the
+adaptive model checks its extrapolated rows before matching them too. Every
+check names the cell, the time and the phase.
 """
 
 from dataclasses import dataclass
 import math
 import time
 
-from .basis import hsm_primitives
 from .coupling import match_hsm_states, pi_extrapolate, transform_state_slots
 from .errors import ConfigError, DomainError, StateError
 # spatial_update, apply_source, apply_source_exact and cfl_timestep are not
@@ -137,7 +146,19 @@ class _Runner:
         self.buf = MomentBuffer(field0.grid, self.model, cfg.order)
         self.buf.load(field0.data)
         self.buf.check(field0.time, "input")
-        self.dt_micro = self._resolve_dt_micro()
+        # the dt_micro rule of the module docstring; pi/cpi take eps, which
+        # kills the stiff mode before extrapolation (the projective step is
+        # unstable for sigma = 1 - dt/eps near 1/2)
+        self.dt_micro = cfg.dt_macro if self.scheme == "euler" else cfg.dt_micro
+        if self.dt_micro is None:
+            caps = [cfl_limit(cfg.cfl, self.buf.dx, self.buf.max_speed())]
+            if self.scheme != "micro-split":
+                caps.append(cfg.eps if self.extrapolate else cfg.eps / 2.0)
+            if self.macro:
+                caps.append(cfg.dt_macro / self.k)
+            self.dt_micro = min(caps)
+        elif not self.dt_micro > 0.0:
+            raise ConfigError(f"dt_micro must be positive, got {self.dt_micro}")
         if self.macro:
             if self.k * self.dt_micro > cfg.dt_macro * (1.0 + 1e-12):
                 raise ConfigError(
@@ -145,26 +166,8 @@ class _Runner:
                 )
         if self.scheme in ("mmhme", "mmhsm"):
             self.euler_buf = MomentBuffer(field0.grid, self.euler, cfg.order)
-        self.pace = self.dt_micro if self.scheme in ("micro", "micro-split") else cfg.dt_macro
-
-    def _resolve_dt_micro(self) -> float:
-        if self.scheme == "euler":
-            return self.cfg.dt_macro
-        if self.cfg.dt_micro is not None:
-            if not self.cfg.dt_micro > 0.0:
-                raise ConfigError(f"dt_micro must be positive, got {self.cfg.dt_micro}")
-            return self.cfg.dt_micro
-        limit = cfl_limit(self.cfg.cfl, self.buf.dx, self.buf.max_speed())
-        if self.extrapolate:
-            # dt_micro = eps kills the stiff mode before extrapolation; the
-            # projective step is unstable for sigma = 1 - dt/eps near 1/2
-            return min(self.cfg.eps, limit, self.cfg.dt_macro / self.k)
-        if self.scheme in ("mmhme", "mmhsm"):
-            return min(self.cfg.eps / 2.0, limit, self.cfg.dt_macro / self.k)
-        if self.scheme == "micro-split":
-            # exact exponential source integration has no stiffness bound
-            return limit
-        return min(self.cfg.eps / 2.0, limit)
+        # the step run() hands to step(); euler's dt_micro is its dt_macro
+        self.pace = cfg.dt_macro if self.macro else self.dt_micro
 
     def _micro(self, t: float, dt: float, n: int, keep: int = 0):
         """n transport + relaxation steps of size dt on the buffer from time t.
@@ -195,16 +198,6 @@ class _Runner:
             buf.check(t, phase)
         return prev
 
-    def _leftover(self, dt_total: float) -> float:
-        tau = dt_total - self.k * self.dt_micro
-        if tau < 0.0:
-            if tau < -self.dt_micro * 1e-9:
-                raise ConfigError(
-                    f"step of {dt_total:g} cannot hold {self.k} micro steps of {self.dt_micro:g}"
-                )
-            tau = 0.0
-        return tau
-
     def _euler_advance(self, buf: MomentBuffer, t: float, dt_total: float) -> float:
         """Euler transport of buf over dt_total in CFL-limited substeps; each
         substep's size and CFL check share one wave-speed pass. Returns the
@@ -220,33 +213,40 @@ class _Runner:
         return t
 
     def _macro_step(self, t: float, dt_total: float):
-        """Micro steps, macro advance of the leading n_macro variables, match.
+        """K micro steps, macro advance of the leading n_macro variables, match.
 
         Everything stays moment-major: the macro state is L rows (the
         extrapolated ones, or the Euler buffer's), and only the buffer rows
         that change are written back before the check.
         """
-        l, w = self.n_macro, self.buf.w
-        rep = StepReport(dt=dt_total, micro_steps=self.k)
+        l, w, k, dt = self.n_macro, self.buf.w, self.k, self.dt_micro
         t0 = time.perf_counter()
-        prev = self._micro(t, self.dt_micro, self.k, keep=l if self.extrapolate else 0)
+        prev = self._micro(t, dt, k, keep=l if self.extrapolate else 0)
         t1 = t2 = time.perf_counter()
-        tau = self._leftover(dt_total)
+        # the interval left after the micro steps; a rounding shortfall is none
+        tau = dt_total - k * dt
+        if tau < 0.0:
+            if tau < -dt * 1e-9:
+                raise ConfigError(
+                    f"step of {dt_total:g} cannot hold {k} micro steps of {dt:g}"
+                )
+            tau = 0.0
         if self.extrapolate:
-            dt_eff = self.k * self.dt_micro + tau
-            macro = pi_extrapolate(w[:l], prev, self.dt_micro, dt_eff, self.k)
+            macro = pi_extrapolate(w[:l], prev, dt, k * dt + tau, k)
         else:
             # restriction: the (rho, u, theta) rows of the last micro state
             macro = self.euler_buf.w
-            if self.model.kind == "hsm":
-                macro[0], macro[1], macro[2] = hsm_primitives(w.T)
-            else:
-                macro[...] = w[:3]
+            macro[...] = self.model.primitive_moments(w.T).T
             t2 = time.perf_counter()
             if tau > 0.0:
-                self._euler_advance(self.euler_buf, t + self.k * self.dt_micro, tau)
+                self._euler_advance(self.euler_buf, t + k * dt, tau)
         t3 = time.perf_counter()
         if self.model.kind == "hme" and l < self.model.n_vars:
+            if self.extrapolate:  # match only a valid extrapolated state
+                try:
+                    self.model.validate(macro.T)
+                except StateError as exc:
+                    raise StateError(f"{exc} at t={t + dt_total:g} (extrapolate)") from exc
             try:
                 w[...] = transform_state_slots(w, macro)
             except DomainError as exc:
@@ -257,41 +257,33 @@ class _Runner:
             w[:3] = match_hsm_states(w[:3], macro)
         self.buf.check(t + dt_total, "extrapolate" if self.extrapolate else "match")
         t4 = time.perf_counter()
-        rep.t_micro, rep.t_restrict = t1 - t0, t2 - t1
-        rep.t_macro, rep.t_match = t3 - t2, t4 - t3
-        return t + dt_total, rep
+        return t + dt_total, StepReport(dt_total, k, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
 
     def step(self, t: float, dt_total: float):
-        """One step of dt_total from time t on the buffer; returns the time
-        reached and the step's report. A sub-pace macro step too short to
-        hold the micro work is plain micro simulation."""
-        if not self.macro:
-            return self._plain_step(t, dt_total)
-        if (dt_total < self.pace * (1.0 - 1e-12)
-                and dt_total <= self.k * self.dt_micro * (1.0 + 1e-12)):
-            return self._micro_fill(t, dt_total)
-        return self._macro_step(t, dt_total)
-
-    def _plain_step(self, t: float, dt_total: float):
-        """One micro step (micro, micro-split) or one Euler advance (euler)."""
+        """One advance of dt_total from time t on the buffer; returns the time
+        reached and its report. euler: CFL-limited Euler substeps. micro,
+        micro-split: one micro step. A macro scheme's sub-pace remainder that
+        cannot hold the K micro steps: micro steps of dt_micro and one of the
+        rest. Anything else: one macro step."""
         t0 = time.perf_counter()
         if self.scheme == "euler":
             t = self._euler_advance(self.buf, t, dt_total)
             return t, StepReport(dt_total, 0, t_macro=time.perf_counter() - t0)
-        self._micro(t, dt_total, 1)
-        return t + dt_total, StepReport(dt_total, 1, t_micro=time.perf_counter() - t0)
-
-    def _micro_fill(self, t: float, remainder: float):
-        """Cover a macro scheme's sub-pace interval with micro steps of
-        dt_micro and one of the rest."""
-        t0 = time.perf_counter()
-        n = int(math.floor(remainder / self.dt_micro * (1.0 + 1e-12)))
-        self._micro(t, self.dt_micro, n)
-        rem = remainder - n * self.dt_micro
-        if rem > self.dt_micro * 1e-9:
-            self._micro(t + n * self.dt_micro, rem, 1)
-            n += 1
-        return t + remainder, StepReport(remainder, n, t_micro=time.perf_counter() - t0)
+        if not self.macro:
+            n = 1
+            self._micro(t, dt_total, n)
+        elif (dt_total < self.pace * (1.0 - 1e-12)
+                and dt_total <= self.k * self.dt_micro * (1.0 + 1e-12)):
+            dt = self.dt_micro
+            n = int(math.floor(dt_total / dt * (1.0 + 1e-12)))
+            self._micro(t, dt, n)
+            rest = dt_total - n * dt
+            if rest > dt * 1e-9:
+                self._micro(t + n * dt, rest, 1)
+                n += 1
+        else:
+            return self._macro_step(t, dt_total)
+        return t + dt_total, StepReport(dt_total, n, t_micro=time.perf_counter() - t0)
 
     def run(self):
         cfg, field0 = self.cfg, self.field0

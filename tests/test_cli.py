@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mmbgk import cli
+from mmbgk import cli, schemes
+from mmbgk.coupling import transform_state_slots
 from mmbgk.cli import _fmt, parse_and_dispatch, snapshot_path, write_csv
 from mmbgk.experiments import MomentSnapshot, TwoBeamConfig, two_beam
 
@@ -202,3 +203,28 @@ def test_missing_output_directory_fails_before_the_run(tmp_path, capsys, monkeyp
     rc = parse_and_dispatch(["two-beam", "--out", str(missing / "x.csv")])
     assert rc == 1
     assert str(missing) in capsys.readouterr().err
+
+
+def test_matching_study_realizability_breach_exits_one(tmp_path, capsys):
+    # at scale 0.4 the exact state's theta is 0.4 of the prior's, past the
+    # matching bound theta_prior < 2 theta_new: a runtime failure, not a
+    # configuration problem
+    rc = parse_and_dispatch(["matching-study", "--scale", "0.4",
+                             "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    assert "realizability bound" in capsys.readouterr().err
+
+
+def test_two_beam_stopped_by_the_matching_bound_exits_one(tmp_path, capsys, monkeypatch):
+    # a macro theta below half the prior's in cell 37 crosses the bound
+    def squeeze_theta(w, macro):
+        macro = macro.copy()
+        macro[2, 37] = 0.4 * w[2, 37]
+        return transform_state_slots(w, macro)
+
+    monkeypatch.setattr(schemes, "transform_state_slots", squeeze_theta)
+    rc = parse_and_dispatch(["two-beam", "--scheme", "mmhme", "--cells", "100",
+                             "--t-end", "0.01", "--out", str(tmp_path / "b.csv")])
+    assert rc == 1
+    assert "in cell 37" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -14,7 +14,7 @@ from mmbgk.grid import (
     Grid1D, Field, apply_source, apply_source_exact, cfl_timestep, constant_field,
     spatial_update,
 )
-from mmbgk.models import make_model
+from mmbgk.models import HSMModel, make_model
 from mmbgk.schemes import SimConfig, StepReport, run, run_with_reports
 from oracles import total_mass
 
@@ -275,7 +275,7 @@ def _reference_run(f, cfg):
     def macro_step(f, dt_total):
         t_start = f.time
         f, prev = micro(f, r.dt_micro, r.k)
-        tau = r._leftover(dt_total)
+        tau = max(dt_total - r.k * r.dt_micro, 0.0)
         if r.extrapolate:
             macro = pi_extrapolate(f.data[:, :l], prev.data[:, :l], r.dt_micro,
                                    r.k * r.dt_micro + tau, r.k)
@@ -383,6 +383,80 @@ def test_invalid_extrapolated_state_names_cell_time_and_phase():
     cfg = TwoBeamConfig(scheme="pi", eps=1e-5, t_end=0.003)
     with pytest.raises(StateError, match=r"in cell 244 at t=0\.002 \(extrapolate\)"):
         run(two_beam_initial(cfg)[0], cfg)
+
+
+def test_cpi_checks_the_extrapolated_rows_before_matching():
+    # cpi at eps = 1e-5 on 100 cells extrapolates theta <= 0 in cell 47; the
+    # extrapolated rows are checked before the matching reads them, so the
+    # run stops in phase extrapolate, not at the matching bound
+    cfg = TwoBeamConfig(scheme="cpi", eps=1e-5, n_cells=100, t_end=0.003)
+    with pytest.raises(StateError, match=r"^rho or theta <= 0 in cell 47 at "
+                       r"t=0\.0015 \(extrapolate\)$"):
+        run(two_beam_initial(cfg)[0], cfg)
+
+
+def test_failed_fixed_basis_relaxation_names_cell_time_and_phase(monkeypatch):
+    # a strong density and temperature jump: a transport step leaves a cell
+    # whose recovered theta is negative, so the relaxation cannot build its
+    # Maxwellian and the run names that cell after the transport
+    grid = Grid1D(-1.0, 1.0, 20)
+    model = make_model("hsm", 4)
+    left = grid.centers < 0.0
+    data = model.equilibrium(np.where(left, 10.0, 0.1), 0.0, np.where(left, 0.1, 1.0))
+    dt = 0.9 * grid.dx / model.wave_speeds(data).max()
+    relax_moments, raised = HSMModel.relax_moments, []
+
+    def recording(self, *args):
+        try:
+            return relax_moments(self, *args)
+        except StateError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(HSMModel, "relax_moments", recording)
+    cfg = SimConfig(scheme="micro", model="hsm", n_moments=4, eps=1.0, dt_micro=dt,
+                    t_end=0.1, order=1)
+    with pytest.raises(StateError, match=r"^recovered rho or theta <= 0 in cell 10 "
+                       r"at t=0\.0385536 \(transport\)$"):
+        run(Field(grid, data), cfg)
+    assert len(raised) == 1
+
+
+@pytest.mark.parametrize("cfl", [0.5, 0.002])
+@pytest.mark.parametrize("eps", [1e-3, 1e-4])
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_dt_micro_is_the_smallest_cap_of_its_scheme(scheme, eps, cfl):
+    # the caps: the CFL limit; eps for pi/cpi, eps/2 for the forward-Euler
+    # source, none for micro-split; dt_macro/K for the macro schemes. euler
+    # steps by dt_macro; micro and micro-split advance by dt_micro
+    f, cfg = _scheme_setup(scheme, eps=eps, cfl=cfl)
+    limit = cfl * f.grid.dx / schemes.scheme_model(cfg).wave_speeds(f.data).max()
+    window = cfg.dt_macro / cfg.micro_steps
+    dt_micro, pace = {
+        "micro": (min(limit, eps / 2.0), None),
+        "micro-split": (limit, None),
+        "mmhme": (min(limit, eps / 2.0, window), cfg.dt_macro),
+        "mmhsm": (min(limit, eps / 2.0, window), cfg.dt_macro),
+        "pi": (min(limit, eps, window), cfg.dt_macro),
+        "cpi": (min(limit, eps, window), cfg.dt_macro),
+        "euler": (cfg.dt_macro, cfg.dt_macro),
+    }[scheme]
+    r = schemes._Runner(f, cfg)
+    assert r.dt_micro == dt_micro
+    assert r.pace == (dt_micro if pace is None else pace)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_explicit_dt_micro_wins_except_for_euler(scheme):
+    f, cfg = _scheme_setup(scheme, dt_micro=1e-5)
+    r = schemes._Runner(f, cfg)
+    if scheme == "euler":
+        assert r.dt_micro == r.pace == cfg.dt_macro
+        # euler does not read dt_micro, so not even an invalid one stops it
+        assert schemes._Runner(f, replace(cfg, dt_micro=-1.0)).dt_micro == cfg.dt_macro
+    else:
+        assert r.dt_micro == 1e-5
+        assert r.pace == (cfg.dt_macro if scheme in schemes._MACRO_SCHEMES else 1e-5)
 
 
 def test_matching_bound_in_the_loop_names_cell_time_and_phase(monkeypatch):
