@@ -29,7 +29,6 @@ from .quadrature import DEFAULT_ORDER, gaussian_rule
 HEAT_FLUX_COEFF = math.sqrt(6.0)
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT6 = math.sqrt(6.0)
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,9 @@ def moments_of(e: HermiteExpansion):
     if e.model == "hme":
         rho, u, theta = e.coeffs[0], e.coeffs[1], e.coeffs[2]
         q = HEAT_FLUX_COEFF * theta ** 1.5 * e.coeffs[3]
-        return float(rho), float(rho * u), float(rho * theta), float(q)
-    rho, u, theta = hsm_primitives(e.coeffs)
-    q = hsm_heat_flux(e.coeffs)
+    else:
+        rho, u, theta = hsm_primitives(e.coeffs)
+        q = hsm_heat_flux(e.coeffs)
     return float(rho), float(rho * u), float(rho * theta), float(q)
 
 
@@ -160,8 +159,15 @@ def hsm_heat_flux(f):
     m2 = _SQRT2 * f[..., 2] + f[..., 0]
     m3 = 3.0 * f[..., 1]
     if f.shape[-1] > 3:
-        m3 = m3 + _SQRT6 * f[..., 3]
+        m3 = m3 + HEAT_FLUX_COEFF * f[..., 3]
     return m3 - 3.0 * u * m2 + 3.0 * u * u * m1 - u ** 3 * rho
+
+
+def check_rho_theta(rho, theta, what: str):
+    """StateError unless every rho > 0 and theta > 0; NaN fails too."""
+    # fmin skips a NaN operand: true exactly where rho <= 0 or theta <= 0
+    if (np.fmin(rho, theta) <= 0.0).any():
+        raise StateError(f"{what} needs rho > 0 and theta > 0")
 
 
 def maxwellian_coefficients(rho, u, theta, n_moments: int) -> np.ndarray:
@@ -178,9 +184,7 @@ def maxwellian_coefficients(rho, u, theta, n_moments: int) -> np.ndarray:
     rho, u, theta = np.broadcast_arrays(
         np.asarray(rho, dtype=float), np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
     )
-    # fmin skips a NaN operand: true exactly where rho <= 0 or theta <= 0
-    if (np.fmin(rho, theta) <= 0.0).any():
-        raise StateError("Maxwellian needs rho > 0 and theta > 0")
+    check_rho_theta(rho, theta, "Maxwellian")
     shape = rho.shape
     # flat rows keep every row an array, 0-d inputs included
     rho, u, theta = rho.ravel(), u.ravel(), theta.ravel()
@@ -200,40 +204,22 @@ def maxwellian_coefficients(rho, u, theta, n_moments: int) -> np.ndarray:
     return m.reshape((n_moments,) + shape).transpose(*range(1, len(shape) + 1), 0)
 
 
-def state_to_orthonormal(theta, f_state: np.ndarray, offset: int = 3) -> np.ndarray:
-    """Rescale moment-state slots to orthonormal coefficients.
-
-    ``f_state[..., i]`` holds f_{offset+i} in the classical scaling; returns
-    fhat_{offset+i} = sqrt((offset+i)!) * theta^(-(offset+i)/2) * f_{offset+i}.
-    """
-    k = f_state.shape[-1]
-    alphas = np.arange(offset, offset + k)
-    fac = np.array([math.sqrt(math.factorial(a)) for a in alphas])
-    theta = np.asarray(theta, dtype=float)[..., None]
-    return f_state * fac * theta ** (-0.5 * alphas)
-
-
-def orthonormal_to_state(theta, fhat: np.ndarray, offset: int = 3) -> np.ndarray:
-    """Inverse of :func:`state_to_orthonormal`."""
-    k = fhat.shape[-1]
-    alphas = np.arange(offset, offset + k)
-    inv_fac = np.array([1.0 / math.sqrt(math.factorial(a)) for a in alphas])
-    theta = np.asarray(theta, dtype=float)[..., None]
-    return fhat * inv_fac * theta ** (0.5 * alphas)
-
-
 def hme_state_to_expansion(w: np.ndarray) -> HermiteExpansion:
-    """Adaptive-model PDE state (rho,u,theta,f_3,..) -> orthonormal expansion."""
+    """Adaptive-model PDE state (rho,u,theta,f_3,..) -> orthonormal expansion,
+    fhat_a = sqrt(a!) theta^(-a/2) f_a for a >= 3."""
     w = np.asarray(w, dtype=float)
+    alphas = np.arange(3, len(w))
     coeffs = w.copy()
-    coeffs[3:] = state_to_orthonormal(w[2], w[3:])
+    fac = np.array([math.sqrt(math.factorial(a)) for a in alphas])
+    coeffs[3:] = w[3:] * fac * w[2] ** (-0.5 * alphas)
     return hme_expansion(coeffs)
 
 
 def hme_expansion_to_state(e: HermiteExpansion) -> np.ndarray:
     """Inverse of :func:`hme_state_to_expansion`."""
     w = e.coeffs.copy()
-    w[3:] = orthonormal_to_state(e.params.theta, e.coeffs[3:])
+    alphas = np.arange(3, len(w))
+    w[3:] = e.coeffs[3:] * _inv_sqrt_factorials(len(w))[3:] * e.params.theta ** (0.5 * alphas)
     return w
 
 

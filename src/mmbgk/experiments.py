@@ -119,23 +119,20 @@ def consistency_sweep(cfl_list=(0.5, 0.4, 0.27), eps: float = 1e-4,
     reproduces the standard dt = 5e-4. Every run, including the reference,
     embeds the same inner integrator (dt_micro = eps); with mismatched inner
     steps the distance saturates at the inner-diffusion offset instead of
-    measuring the macro-step error. Returns rows (scheme, cfl, dt, dist)
-    with dist the discrete L2 norm over cells of the stacked (rho, u, theta)
-    difference at t_end.
+    measuring the macro-step error. All runs start from one initial field.
+    Returns rows (scheme, cfl, dt, dist) with dist the discrete L2 norm over
+    cells of the stacked (rho, u, theta) difference at t_end.
     """
-    base = TwoBeamConfig(eps=eps, n_moments=n_moments, t_end=t_end)
-    ref_cfg = replace(base, scheme="micro", dt_micro=eps)
-    field0, model = two_beam_initial(ref_cfg)
-    ref = run(field0, ref_cfg)[-1]
+    base = TwoBeamConfig(eps=eps, n_moments=n_moments, t_end=t_end, dt_micro=eps)
+    field0, model = two_beam_initial(base)
+    ref = run(field0, replace(base, scheme="micro"))[-1]
     ref_prim = model.primitive_moments(ref.data)
     rows = []
     for scheme in ("mmhme", "cpi"):
         for cfl in cfl_list:
             dt = (cfl / 0.5) * 5e-4
-            cfg = replace(base, scheme=scheme, dt_macro=dt, cfl=cfl, dt_micro=eps)
-            f0, _ = two_beam_initial(cfg)
-            final = run(f0, cfg)[-1]
-            dist = _primitive_distance(f0.grid, model.primitive_moments(final.data), ref_prim)
+            final = run(field0, replace(base, scheme=scheme, dt_macro=dt, cfl=cfl))[-1]
+            dist = _primitive_distance(field0.grid, model.primitive_moments(final.data), ref_prim)
             rows.append((scheme, cfl, dt, dist))
     return rows
 
@@ -143,19 +140,20 @@ def consistency_sweep(cfl_list=(0.5, 0.4, 0.27), eps: float = 1e-4,
 def speedup_bench(eps_list=(1e-3, 1e-4, 1e-5), t_end: float = 0.1):
     """Wall-time of micro, mm, and Euler-only two-beam runs per stiffness.
 
-    Timing is single-threaded wall clock; speedup is relative to the
-    micro run at the same eps. Each scheme's runs are repeated until
-    half a second of cumulative wall time (at most five repeats) and the
-    minimum is reported, so sub-second schemes are not at the mercy of
-    scheduler noise. Each repeat runs the eps values back to back, so their
-    minima sample the same host state.
+    Every scheme takes the runner's own step sizes, so the micro reference
+    resolves eps with dt_micro = min(CFL limit, eps/2). Timing is
+    single-threaded wall clock; speedup is relative to the micro run at the
+    same eps. Each scheme's runs are repeated until half a second of
+    cumulative wall time (at most five repeats) and the minimum is reported,
+    so sub-second schemes are not at the mercy of scheduler noise. Each
+    repeat runs the eps values back to back, so their minima sample the same
+    host state.
     """
     timings = {}
     for scheme in ("micro", "mmhme", "euler"):
         cases = {}
         for eps in eps_list:
-            cfg = TwoBeamConfig(scheme=scheme, eps=eps, t_end=t_end,
-                                dt_micro=eps / 2.0 if scheme == "micro" else None)
+            cfg = TwoBeamConfig(scheme=scheme, eps=eps, t_end=t_end)
             cases[eps] = (cfg, two_beam_initial(cfg)[0])
         best = dict.fromkeys(eps_list, math.inf)
         spent = dict.fromkeys(eps_list, 0.0)

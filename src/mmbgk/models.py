@@ -23,10 +23,10 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
-from .basis import hsm_heat_flux, hsm_primitives, maxwellian_coefficients
+from .basis import check_rho_theta, hsm_heat_flux, hsm_primitives, maxwellian_coefficients
 from .errors import ConfigError, DomainError, StateError
+from .quadrature import gauss_hermite_e
 
 
 @lru_cache(maxsize=None)
@@ -34,13 +34,7 @@ def largest_hermite_root(n: int) -> float:
     """Largest root of the probabilists' Hermite polynomial He_n."""
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    return float(hermite_e.hermegauss(n)[0][-1])
-
-
-def _check_rho_theta(rho, theta, kind):
-    # fmin skips a NaN operand: true exactly where rho <= 0 or theta <= 0
-    if (np.fmin(rho, theta) <= 0.0).any():
-        raise StateError(f"{kind} state needs rho > 0 and theta > 0")
+    return float(gauss_hermite_e(n).nodes[-1])
 
 
 def _check_state(w, rho, theta, what="rho or theta"):
@@ -167,7 +161,7 @@ class HMEModel:
         wt = np.asarray(wt, dtype=float)
         m = self.n_vars
         rho, u, theta = wt[0], wt[1], wt[2]
-        _check_rho_theta(rho, theta, "hme")
+        check_rho_theta(rho, theta, "hme state")
         fbar = wt.copy()
         fbar[1:3] = 0.0
         six_rho = 6.0 / rho
@@ -286,7 +280,7 @@ class EulerModel:
         over a (3, 3, n) coefficient array, c[k, b] the coefficient of v_k in
         row b."""
         wt = np.asarray(wt, dtype=float)
-        _check_rho_theta(wt[0], wt[2], "euler")
+        check_rho_theta(wt[0], wt[2], "euler state")
         c = np.empty((3, 3, wt.shape[1]))
         _euler_columns(c, wt[0], wt[1], wt[2])
         return lambda v: np.einsum("kmn,kn->mn", c, v)

@@ -43,7 +43,8 @@ def gauss_hermite_e(n: int = DEFAULT_ORDER) -> QuadratureRule:
 
 
 def gaussian_rule(u: float, theta: float, n: int = DEFAULT_ORDER) -> QuadratureRule:
-    """Rule computing expectations under the Gaussian N(u, theta).
+    """Rule computing expectations under the Gaussian N(u, theta): the
+    affine image u + sqrt(theta) c of the gauss_hermite_e(n) rule.
 
     sum w_k f(c_k) ~ int f(c) N(c; u, theta) dc, weights summing to one.
     Since int g(c) dc = E[g/N], this rule also integrates any g that
@@ -52,7 +53,6 @@ def gaussian_rule(u: float, theta: float, n: int = DEFAULT_ORDER) -> QuadratureR
     """
     if theta <= 0.0:
         raise ConfigError(f"gaussian_rule needs theta > 0, got {theta}")
-    x, w = _herme.hermegauss(n)
-    nodes = u + math.sqrt(theta) * x
-    weights = w / math.sqrt(2.0 * math.pi)
-    return QuadratureRule(nodes=nodes, weights=weights, order=n)
+    base = gauss_hermite_e(n)
+    return QuadratureRule(nodes=u + math.sqrt(theta) * base.nodes,
+                          weights=base.weights / math.sqrt(2.0 * math.pi), order=n)

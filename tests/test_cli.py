@@ -181,6 +181,18 @@ def test_bench_smoke(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bench_micro_reference_keeps_its_cfl_cap(tmp_path, capsys):
+    # above eps = 7.5e-3 the micro step min(CFL, eps/2) is the CFL limit;
+    # a fixed eps/2 would exceed it on the first step
+    out = tmp_path / "bench.csv"
+    rc = parse_and_dispatch(["bench", "--eps", "0.05", "--t-end", "0.02",
+                             "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    _, rows = _read_csv(out)
+    assert [r[0] for r in rows] == ["micro", "mmhme", "euler"]
+    assert int(rows[0][3]) == 6  # 0.02 over the CFL step 0.0037
+
+
 def test_bad_float_list_exits_two(capsys):
     assert parse_and_dispatch(["bench", "--eps", "abc"]) == 2
     assert "comma-separated numbers" in capsys.readouterr().err

@@ -157,6 +157,43 @@ def test_flux_operator_raises_like_dense_builder(kind, slot, value):
     assert str(free.value) == str(dense.value) == str(derived.value)
 
 
+# --- one PDE in two forms ----------------------------------------------------
+
+
+def _conserved_jacobians(w, heat_flux):
+    """dU/dw and dF/dw, written from the PDE, of the conserved variables
+    U = (rho, rho u, E), E = rho (u^2 + theta) / 2, and their flux
+    F = (rho u, rho u^2 + rho theta, u (E + rho theta) + 3 f_3), with the
+    3 f_3 (half the heat flux q = 6 f_3) only where the state carries f_3."""
+    rho, u, theta = w[0], w[1], w[2]
+    du = np.zeros((3, len(w)))
+    df = np.zeros((3, len(w)))
+    du[0, 0] = 1.0
+    du[1, :2] = u, rho
+    du[2, :3] = 0.5 * (u * u + theta), rho * u, 0.5 * rho
+    df[0, :2] = u, rho
+    df[1, :3] = u * u + theta, 2.0 * rho * u, rho
+    df[2, :3] = 0.5 * u ** 3 + 1.5 * u * theta, 1.5 * rho * (u * u + theta), 1.5 * rho * u
+    if heat_flux:
+        df[2, 3] = 3.0
+    return du, df
+
+
+@pytest.mark.parametrize("kind,m", [("hme", 4), ("hme", 5), ("hme", 10), ("hme", 40),
+                                    ("euler", 3)])
+def test_conserved_flux_jacobian_is_the_transformed_flux_matrix(kind, m):
+    # rows 0-2 of dt w + A(w) dx w = 0 are dt U + dx F = 0, so
+    # dF/dw = dU/dw A(w); the energy row pins A's heat-flux column 6/rho
+    model = make_model(kind, m)
+    rng = np.random.default_rng(200 + m)
+    states = _realizable_states(rng, 32, model.n_vars)
+    states[:, 1] = rng.uniform(-2.0, 2.0, size=32)
+    for mats in (dense_flux_matrices(model, states), model.system_matrices(states)):
+        for w, a in zip(states, mats):
+            du, df = _conserved_jacobians(w, kind == "hme")
+            assert np.max(np.abs(du @ a - df)) <= 1e-13 * np.max(np.abs(df))
+
+
 # --- relaxation sources ------------------------------------------------------
 
 

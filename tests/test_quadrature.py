@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mmbgk.basis import hme_expansion, weighted_l2_distance
 from mmbgk.errors import ConfigError
 from mmbgk.quadrature import DEFAULT_ORDER, gauss_hermite_e, gaussian_rule
 
@@ -78,3 +79,12 @@ def test_invalid_arguments():
         gaussian_rule(0.0, 0.0)
     with pytest.raises(ConfigError):
         gaussian_rule(0.0, -1.0)
+
+
+def test_order_zero_raises_the_rule_error():
+    # gaussian_rule and the weighted distance build on gauss_hermite_e
+    with pytest.raises(ConfigError, match="quadrature order must be >= 1, got 0"):
+        gaussian_rule(0.0, 1.0, n=0)
+    e = hme_expansion([1.0, 0.0, 1.0, 0.1])
+    with pytest.raises(ConfigError, match="quadrature order must be >= 1, got 0"):
+        weighted_l2_distance(e, e, e.params, order=0)
