@@ -60,27 +60,27 @@ def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray) -> np.ndar
     re-expanded prior. In state scaling the connection collapses to the
     convolution f+_b = sum_k h_k f*_{b-k} with h_0 = 1,
     m h_m = (u* - u+) h_{m-1} + (theta* - theta+) h_{m-2},
-    which is the identity bitwise when the parameters coincide.
+    which is the identity bitwise when the parameters coincide. Each row
+    b >= L is one dot product over k = 0..b, summed in k order from +0.
     """
     m, n = w_prior.shape
     l = macro_new.shape[0]
     _check_weight_ratio(macro_new[2], w_prior[2])
     du = w_prior[1] - macro_new[1]
     dth = w_prior[2] - macro_new[2]
-    # on rows the convolution is one row shift per k
-    h = np.zeros((m, n))
+    h = np.empty((m, n))
     h[0], h[1] = 1.0, du
+    term = np.empty(n)
     for k in range(2, m):
-        h[k] = (du * h[k - 1] + dth * h[k - 2]) / k
+        np.multiply(du, h[k - 1], out=h[k])
+        h[k] += np.multiply(dth, h[k - 2], out=term)
+        h[k] /= k
     fbar = w_prior.copy()
     fbar[1:3] = 0.0
     out = np.empty((m, n))
     out[:l] = macro_new
-    acc = out[l:]
-    acc[...] = fbar[l:]  # the k = 0 term, h_0 = 1
-    for k in range(1, m):
-        s = max(l, k)
-        acc[s - l:] += h[k] * fbar[s - k:m - k]
+    for b in range(l, m):
+        np.einsum("kn,kn->n", h[:b + 1], fbar[b::-1], out=out[b])
     return out
 
 

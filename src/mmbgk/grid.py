@@ -23,6 +23,10 @@ run that owns one keeps its state there from step to step and converts to
 a cell-major Field only where a caller reads one: MomentBuffer.load and
 cells are called by the runner for its input and its snapshots and by
 spatial_update, not inside a step. Field.data stays cell-major (n, M).
+A step updates only the buffer's span, the cells whose stencil holds a
+jump: every other cell's fluctuation is exactly +0 (MomentBuffer gives the
+argument), so transport costs what the span costs, and a level stretch of
+the grid costs nothing but the ghost fill and the CFL check.
 spatial_update, apply_source, apply_source_exact and cfl_timestep are
 single-step forms on a Field that no run calls; the tests compose them into
 a reference run.
@@ -90,8 +94,28 @@ class MomentBuffer:
 
     `we` has shape (M, n + 2g): g copy-outflow ghosts per side (g = order)
     around the cells `w`, a view. The FORCE work arrays are allocated with
-    it, so a run that owns one buffer per model steps without per-step
+    it, as flat storage that a step on k cells views as contiguous (M, k + 1)
+    and (M, k) blocks, the layout of a full-grid step, so both run the same
+    kernels. A run that owns one buffer per model steps without per-step
     allocation of the state, its ghosts or its cell-major copies.
+
+    `span = (lo, hi)` bounds the cells [lo, hi) that the next transport can
+    change, or is None, which means "find it"; load resets it to None. Cell
+    i's stencil holds the 2g jumps between columns i, ..., i + 2g of `we`,
+    a jump being two neighbouring columns that differ in any bit. A cell
+    with no jump in its stencil gets a fluctuation of exactly +0: its jumps
+    and minmod slopes are x - x = +0 (sign(+0) = +0), every term built from
+    them is a zero, and a sum of zeros with a +0 addend is +0. At order 1,
+    Q Delta has the addend Delta / nu = +0, so D^+ = A_hat Delta + Q Delta
+    is +0 and so is the bracket D^+ + D^-; at order 2 the bracket's in-cell
+    addend A sigma is +0. Then w - (+0) = w, even for w = -0.0. So transport
+    runs its FORCE body on the window we[:, lo:hi + 2g] alone, and widens
+    the span by g per side after it, since only the jumps next to a changed
+    cell can appear. An empty span is (n, 0); a step on it changes nothing
+    and keeps it. A map that computes each cell from that cell alone keeps
+    neighbours with equal bits equal, so the collision needs no update;
+    after any other write to the cells, set the span to one that bounds the
+    new jumps' stencils, or to None.
     """
 
     def __init__(self, grid: Grid1D, model, order: int = 1):
@@ -101,13 +125,15 @@ class MomentBuffer:
         self.model, self.order, self.dx = model, order, grid.dx
         self.we = np.empty((m, n + 2 * g))
         self.w = self.we[:, g:g + n]
-        # interface arrays (M, n + 1) and the cell bracket (M, n)
-        self._delta, self._mean = np.empty((2, m, n + 1))
-        self._bracket = np.empty((m, n))
+        self.span = None
+        # interface arrays (M, n + 1) and the cell bracket (M, n), flat
+        self._delta, self._mean = np.empty((2, m * (n + 1)))
+        self._bracket = np.empty(m * n)
 
     def load(self, data):
-        """Copy cell-major (n, M) states into the cells."""
+        """Copy cell-major (n, M) states into the cells; the span is unknown."""
         self.w[...] = data.T
+        self.span = None
 
     def cells(self) -> np.ndarray:
         """Cell-major (n, M) C-ordered copy of the cells."""
@@ -125,15 +151,28 @@ class MomentBuffer:
         """Largest wave speed of the cells."""
         return float(self.model.wave_speeds(self.w.T).max())
 
+    def _jump_span(self):
+        """The cells whose stencil holds a jump, (n, 0) if no two neighbouring
+        cells differ. The ghosts copy the end cells, so they add no jump."""
+        g, n = self.order, self.w.shape[1]
+        bits = self.we.view(np.int64)[:, g:g + n]
+        jumps = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0))
+        if jumps.size == 0:
+            return (n, 0)
+        # the jump between cells a and a + 1 is in the stencils of a - g + 1 .. a + g
+        return (max(int(jumps[0]) - g + 1, 0), min(int(jumps[-1]) + g + 1, n))
+
     def transport(self, dt: float, t: float, smax: float = None):
         """One FORCE step of size dt on the cells, in place; no source.
 
         smax is the largest wave speed of the cells when the caller already
         has it. dt * smax decides the CFL check exactly as the per-cell
-        products would, since rounding is monotone.
+        products would, since rounding is monotone. The ghosts and the CFL
+        check cover every cell; the update covers the span (found first if
+        it is None), which then widens by g per side.
         """
         we, w, g, model, dx = self.we, self.w, self.order, self.model, self.dx
-        n = w.shape[1]
+        m, n = w.shape
         we[:, :g] = we[:, g:g + 1]
         we[:, g + n:] = we[:, g + n - 1:g + n]
         if smax is None:
@@ -143,20 +182,27 @@ class MomentBuffer:
             bad = int(np.argmax(dt * speeds > dx * (1.0 + 1e-12)))
             raise StepError(f"CFL violation in cell {bad} at t={t:g} (transport): "
                             f"dt={dt:g} exceeds {dx / speeds[bad]:g}")
+        if self.span is None:
+            self.span = self._jump_span()
+        lo, hi = self.span
+        if lo >= hi:
+            return
+        k = hi - lo
+        win = we[:, lo:hi + 2 * g]
         nu = dt / dx
         if g == 1:
-            wl, wr = we[:, :-1], we[:, 1:]
+            wl, wr = win[:, :-1], win[:, 1:]
         else:
-            # minmod slopes of cells we[:, 1:-1]
-            d = np.diff(we, axis=1)
+            # minmod slopes of cells win[:, 1:-1]
+            d = np.diff(win, axis=1)
             s, a = np.sign(d), np.abs(d)
             sig = 0.5 * (s[:, :-1] + s[:, 1:]) * np.minimum(a[:, :-1], a[:, 1:])
             # half-step predictor keeps the update second order in time
-            ev = we[:, 1:-1] - (0.5 * nu) * model.flux_operator(we[:, 1:-1])(sig)
+            ev = win[:, 1:-1] - (0.5 * nu) * model.flux_operator(win[:, 1:-1])(sig)
             wl = ev[:, :-1] + 0.5 * sig[:, :-1]
             wr = ev[:, 1:] - 0.5 * sig[:, 1:]
-        delta = np.subtract(wr, wl, out=self._delta)
-        mean = np.add(wl, wr, out=self._mean)
+        delta = np.subtract(wr, wl, out=self._delta[:m * (k + 1)].reshape(m, k + 1))
+        mean = np.add(wl, wr, out=self._mean[:m * (k + 1)].reshape(m, k + 1))
         mean *= 0.5
         ahat = model.flux_operator(mean)
         ad = ahat(delta)
@@ -171,11 +217,12 @@ class MomentBuffer:
         dplus *= 0.5
         dminus = np.subtract(ad, q, out=ad)
         dminus *= 0.5
-        bracket = np.add(dplus[:, :-1], dminus[:, 1:], out=self._bracket)
+        bracket = np.add(dplus[:, :-1], dminus[:, 1:], out=self._bracket[:m * k].reshape(m, k))
         if g == 2:
             bracket += model.flux_operator(ev[:, 1:-1])(sig[:, 1:-1])
         bracket *= nu
-        w -= bracket
+        w[:, lo:hi] -= bracket
+        self.span = (max(lo - g, 0), min(hi + g, n))
 
 
 def spatial_update(f: Field, model, dt: float, order: int = 1) -> Field:

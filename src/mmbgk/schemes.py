@@ -30,7 +30,17 @@ rows: restriction writes the model's (rho, u, theta) rows of the last micro
 state into the Euler buffer, which the leftover advances in place; the L
 macro rows (those, or the extrapolated ones) go to the coupling operators
 with the buffer's rows, and the runner writes back only the rows that
-change. The runner checks its input once, in __init__, as it loads the
+change. Each buffer's transport updates only its span, the cells whose
+stencil holds a jump (see grid.MomentBuffer). Restriction computes each
+Euler cell from the same micro cell, so the Euler buffer takes the micro
+buffer's span. After the hand-back of the macro state the micro buffer's
+span is None, and the next transport finds it afresh. A carried span
+widens by g per transport, while the cells that really hold a jump widen
+more slowly, since an update below half an ulp leaves a cell's bits as
+they were; one search per macro step keeps the span near them, however
+many transports the step took (an Euler leftover adds one). The collision
+needs no hand-off: it maps each cell alone, so level neighbours stay
+level. The runner checks its input once, in __init__, as it loads the
 field into the buffer and before anything reads it: the model's state check
 (finite, rho > 0, theta > 0) in phase "input", so an invalid field raises
 even with t_end = 0. After that, each step's result is checked once: after
@@ -237,6 +247,7 @@ class _Runner:
             # restriction: the (rho, u, theta) rows of the last micro state
             macro = self.euler_buf.w
             macro[...] = self.model.primitive_moments(w.T).T
+            self.euler_buf.span = self.buf.span
             t2 = time.perf_counter()
             if tau > 0.0:
                 self._euler_advance(self.euler_buf, t + k * dt, tau)
@@ -255,6 +266,7 @@ class _Runner:
             w[:l] = macro
         else:  # fixed basis: the free rows carry over in place
             w[:3] = match_hsm_states(w[:3], macro)
+        self.buf.span = None
         self.buf.check(t + dt_total, "extrapolate" if self.extrapolate else "match")
         t4 = time.perf_counter()
         return t + dt_total, StepReport(dt_total, k, t1 - t0, t2 - t1, t3 - t2, t4 - t3)

@@ -1,4 +1,5 @@
-"""Finite-volume transport: CFL, conservation, symmetry, and convergence."""
+"""Finite-volume transport: CFL, conservation, symmetry, convergence, and the
+active span."""
 
 import math
 
@@ -9,6 +10,7 @@ from mmbgk.errors import ConfigError, StateError, StepError
 from mmbgk.grid import (
     Field,
     Grid1D,
+    MomentBuffer,
     apply_source,
     apply_source_exact,
     cfl_timestep,
@@ -261,3 +263,73 @@ def test_euler_model_has_no_source():
     f = constant_field(Grid1D(0.0, 1.0, 10), [1.0, 0.2, 1.0])
     out = apply_source(f, EulerModel(), 1e-4, 1e-3)
     np.testing.assert_array_equal(out.data, f.data)
+
+
+_SPAN_CELLS = 30
+
+
+def _level_pieces(kind, m, where):
+    """A piecewise-level state of _SPAN_CELLS cells: one state, with a second
+    one on cell 0 ("first": the jump at the first interface), on the last
+    cell ("last"), on cells 12-17 ("interior") or nowhere ("none")."""
+    model = make_model(kind, m)
+    base = model.equilibrium(1.0, 0.2, 1.0)[0]
+    other = model.equilibrium(1.3, -0.1, 0.8)[0]
+    if kind == "hme":
+        base[3:] = 0.01 * np.arange(1.0, m - 2)
+        other[3:] = -0.02
+    data = np.tile(base, (_SPAN_CELLS, 1))
+    data[{"first": slice(0, 1), "last": slice(-1, None), "interior": slice(12, 18),
+          "none": slice(0, 0)}[where]] = other
+    return model, data
+
+
+def _bits(buf):
+    return buf.we.view(np.int64).copy()
+
+
+@pytest.mark.parametrize("where,spans", [
+    ("first", {1: (0, 2), 2: (0, 3)}),
+    ("last", {1: (28, 30), 2: (27, 30)}),
+    ("interior", {1: (11, 19), 2: (10, 20)}),
+    ("none", {1: (30, 0), 2: (30, 0)}),
+])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("kind,m", [("hme", 10), ("hsm", 6), ("euler", 3)])
+def test_span_steps_equal_full_grid_steps_bitwise(kind, m, order, where, spans):
+    # a cell whose stencil holds no jump gets a fluctuation of exactly +0, so
+    # stepping the span alone, found or carried, gives the full-grid bits
+    model, data = _level_pieces(kind, m, where)
+    grid = Grid1D(-1.0, 1.0, _SPAN_CELLS)
+    dt = 0.5 * grid.dx / model.wave_speeds(data).max()
+    spanned, full = MomentBuffer(grid, model, order), MomentBuffer(grid, model, order)
+    spanned.span = (0, 0)  # left by an earlier state: load must forget it
+    spanned.load(data)
+    full.load(data)
+    assert spanned.span is None and spanned._jump_span() == spans[order]
+    for step in range(3):
+        full.span = (0, _SPAN_CELLS)
+        spanned.transport(dt, step * dt)
+        full.transport(dt, step * dt)
+        np.testing.assert_array_equal(_bits(spanned), _bits(full))
+        # the carried span holds the one a fresh search finds
+        lo, hi = spanned._jump_span()
+        if lo < hi:
+            assert spanned.span[0] <= lo and hi <= spanned.span[1], (step, spanned.span)
+        else:
+            assert where == "none" and spanned.span == (_SPAN_CELLS, 0)
+
+
+def test_cfl_violation_outside_the_span_names_its_cell():
+    # the hot cells 0-14 are level up to the jump to the cold cells, so after
+    # one step the span holds cells 13-16; the CFL check still covers cell 0
+    model = EulerModel()
+    grid = Grid1D(-1.0, 1.0, _SPAN_CELLS)
+    data = model.equilibrium(np.ones(_SPAN_CELLS), 0.0,
+                             np.where(np.arange(_SPAN_CELLS) < 15, 4.0, 1.0))
+    buf = MomentBuffer(grid, model, 1)
+    buf.load(data)
+    buf.transport(0.1 * grid.dx / buf.max_speed(), 0.0)
+    assert buf.span == (13, 17)
+    with pytest.raises(StepError, match=r"CFL violation in cell 0 at t=0\.5 \(transport\)"):
+        buf.transport(2.0 * grid.dx / buf.max_speed(), 0.5)
