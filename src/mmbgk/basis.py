@@ -42,7 +42,7 @@ class BasisParams:
 def weight_function(params: BasisParams, c):
     """Gaussian weight omega(c) = N(c; u, theta) of the basis."""
     u, theta = params.u, params.theta
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise DomainError(f"basis temperature must be positive, got {theta}")
     xi = (np.asarray(c, dtype=float) - u) / math.sqrt(theta)
     return np.exp(-0.5 * xi * xi) / math.sqrt(2.0 * math.pi * theta)
@@ -113,10 +113,8 @@ def hme_expansion(coeffs) -> HermiteExpansion:
     coeffs = np.asarray(coeffs, dtype=float)
     if len(coeffs) < 4:
         raise DomainError("adaptive expansion needs at least 4 entries")
-    rho, u, theta = coeffs[0], coeffs[1], coeffs[2]
-    if rho <= 0.0 or theta <= 0.0:
-        raise StateError(f"need rho > 0 and theta > 0, got rho={rho}, theta={theta}")
-    return HermiteExpansion(BasisParams(float(u), float(theta)), coeffs.copy(), "hme")
+    check_rho_theta(coeffs[0], coeffs[2], "hme expansion rho or theta")
+    return HermiteExpansion(BasisParams(float(coeffs[1]), float(coeffs[2])), coeffs.copy(), "hme")
 
 
 def hsm_expansion(coeffs) -> HermiteExpansion:
@@ -125,8 +123,7 @@ def hsm_expansion(coeffs) -> HermiteExpansion:
     if len(coeffs) < 3:
         raise DomainError("fixed-basis expansion needs at least 3 entries")
     rho, _, theta = hsm_primitives(coeffs)
-    if rho <= 0.0 or theta <= 0.0:
-        raise StateError(f"need rho > 0 and theta > 0, got rho={rho}, theta={theta}")
+    check_rho_theta(rho, theta, "hsm expansion rho or theta")
     return HermiteExpansion(BasisParams(0.0, 1.0), coeffs.copy(), "hsm")
 
 
@@ -164,10 +161,11 @@ def hsm_heat_flux(f):
 
 
 def check_rho_theta(rho, theta, what: str):
-    """StateError unless every rho > 0 and theta > 0; NaN fails too."""
-    # fmin skips a NaN operand: true exactly where rho <= 0 or theta <= 0
-    if (np.fmin(rho, theta) <= 0.0).any():
-        raise StateError(f"{what} needs rho > 0 and theta > 0")
+    """The package's one admissibility test: StateError(what, i), which
+    reads "{what} <= 0 in cell {i}", for the first flat index i where
+    rho > 0 and theta > 0 fails. NaN fails: a NaN minimum is not > 0."""
+    if not (ok := np.minimum(rho, theta) > 0.0).all():
+        raise StateError(what, int(np.argmin(ok)))
 
 
 def maxwellian_coefficients(rho, u, theta, n_moments: int) -> np.ndarray:
@@ -184,7 +182,7 @@ def maxwellian_coefficients(rho, u, theta, n_moments: int) -> np.ndarray:
     rho, u, theta = np.broadcast_arrays(
         np.asarray(rho, dtype=float), np.asarray(u, dtype=float), np.asarray(theta, dtype=float)
     )
-    check_rho_theta(rho, theta, "Maxwellian")
+    check_rho_theta(rho, theta, "Maxwellian rho or theta")
     shape = rho.shape
     # flat rows keep every row an array, 0-d inputs included
     rho, u, theta = rho.ravel(), u.ravel(), theta.ravel()
@@ -258,7 +256,7 @@ def weighted_l2_distance(a: HermiteExpansion, b: HermiteExpansion, weight: Basis
     """
     if a.n_moments != b.n_moments:
         raise DomainError("expansions must have the same length")
-    if weight.theta <= 0.0:
+    if not weight.theta > 0.0:
         raise DomainError(f"weight temperature must be positive, got {weight.theta}")
     fa = a.coefficient_vector()
     fb = b.coefficient_vector()

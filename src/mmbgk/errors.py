@@ -2,6 +2,7 @@
 
 Split by what went wrong, not where: configuration mistakes, invalid
 physical states, quadrature/weight blow-ups, and failed time steps.
+at_time adds the time and the phase of a run to any of them.
 """
 
 
@@ -14,7 +15,16 @@ class DomainError(ValueError):
 
 
 class StateError(ValueError):
-    """Physically inadmissible state (rho <= 0, theta <= 0, ...)."""
+    """Physically inadmissible state (rho <= 0, theta <= 0, ...).
+
+    StateError(what, cell) reads "{what} <= 0 in cell {cell}" and keeps
+    both, so a caller that knows where the checked batch starts on the
+    grid can name the grid cell.
+    """
+
+    def __init__(self, what: str, cell: int = None):
+        super().__init__(what if cell is None else f"{what} <= 0 in cell {cell}")
+        self.what, self.cell = what, cell
 
 
 class NumericError(ArithmeticError):
@@ -23,3 +33,9 @@ class NumericError(ArithmeticError):
 
 class StepError(RuntimeError):
     """A time step failed, e.g. a CFL violation; message names the cell."""
+
+
+def at_time(exc: Exception, t: float, phase: str) -> Exception:
+    """exc as a new error of its own type whose message ends with the run's
+    time and phase, " at t={t:g} ({phase})"; raise it from exc."""
+    return type(exc)(f"{exc} at t={t:g} ({phase})")

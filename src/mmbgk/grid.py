@@ -26,7 +26,8 @@ spatial_update, not inside a step. Field.data stays cell-major (n, M).
 A step updates only the buffer's span, the cells whose stencil holds a
 jump: every other cell's fluctuation is exactly +0 (MomentBuffer gives the
 argument), so transport costs what the span costs, and a level stretch of
-the grid costs nothing but the ghost fill and the CFL check.
+the grid costs nothing but the ghost fill and the CFL check. A failed check
+or transport names the grid cell, the time and the phase.
 spatial_update, apply_source, apply_source_exact and cfl_timestep are
 single-step forms on a Field that no run calls; the tests compose them into
 a reference run.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StateError, StepError
+from .errors import ConfigError, StateError, StepError, at_time
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,22 @@ class MomentBuffer:
     neighbours with equal bits equal, so the collision needs no update;
     after any other write to the cells, set the span to one that bounds the
     new jumps' stencils, or to None.
+
+    Two simpler designs keep the bits but not the speed. Each was timed in
+    one process against this one on the cases of the three perfbench
+    workloads, interleaved per case over 15 rounds (2-core Xeon, Python
+    3.11.7, numpy 2.4.6):
+    - Plain per-call temporaries for the work arrays: under glibc's default
+      malloc thresholds wide-m40 micro (M = 40, 500 cells) runs 16 % slower,
+      slower in 14 of 15 rounds. Under perfbench's pinned MALLOC_* settings
+      they read -5 to +1 % on every case, within the host's spread. The
+      flat storage pays where the allocator keeps its defaults.
+    - A span searched before every transport, with nothing carried, widened
+      or handed off: wide-m40 micro runs 35-41 % faster, since its carried
+      span outgrows the jumps, but each stiff-eps case that completes runs
+      2-18 % slower and each beams-m10 case 1-12 %, since a search reads the
+      bits of every cell. When to search again needs a rule; searching
+      before every step costs more than it saves.
     """
 
     def __init__(self, grid: Grid1D, model, order: int = 1):
@@ -145,7 +162,7 @@ class MomentBuffer:
         try:
             self.model.validate(self.w.T)
         except StateError as exc:
-            raise StateError(f"{exc} at t={t:g} ({phase})") from exc
+            raise at_time(exc, t, phase) from exc
 
     def max_speed(self) -> float:
         """Largest wave speed of the cells."""
@@ -162,6 +179,17 @@ class MomentBuffer:
         # the jump between cells a and a + 1 is in the stencils of a - g + 1 .. a + g
         return (max(int(jumps[0]) - g + 1, 0), min(int(jumps[-1]) + g + 1, n))
 
+    def _flux_operator(self, states, first: int, t: float):
+        """model.flux_operator of moment-major states whose column j is grid
+        cell first + j (a ghost counts as its end cell, an interface as the
+        cell to its right). A rejected state raises a StateError naming its
+        cell, the step's start time t and phase transport."""
+        try:
+            return self.model.flux_operator(states)
+        except StateError as exc:
+            cell = min(max(first + exc.cell, 0), self.w.shape[1] - 1)
+            raise at_time(StateError(exc.what, cell), t, "transport") from exc
+
     def transport(self, dt: float, t: float, smax: float = None):
         """One FORCE step of size dt on the cells, in place; no source.
 
@@ -169,7 +197,11 @@ class MomentBuffer:
         has it. dt * smax decides the CFL check exactly as the per-cell
         products would, since rounding is monotone. The ghosts and the CFL
         check cover every cell; the update covers the span (found first if
-        it is None), which then widens by g per side.
+        it is None), which then widens by g per side. A state the flux
+        operator rejects (at order 2 the predicted states and the faces
+        reconstructed from them can fail rho > 0 and theta > 0) raises a
+        StateError naming the grid cell, the start time t and phase
+        transport.
         """
         we, w, g, model, dx = self.we, self.w, self.order, self.model, self.dx
         m, n = w.shape
@@ -198,13 +230,13 @@ class MomentBuffer:
             s, a = np.sign(d), np.abs(d)
             sig = 0.5 * (s[:, :-1] + s[:, 1:]) * np.minimum(a[:, :-1], a[:, 1:])
             # half-step predictor keeps the update second order in time
-            ev = win[:, 1:-1] - (0.5 * nu) * model.flux_operator(win[:, 1:-1])(sig)
+            ev = win[:, 1:-1] - (0.5 * nu) * self._flux_operator(win[:, 1:-1], lo - 1, t)(sig)
             wl = ev[:, :-1] + 0.5 * sig[:, :-1]
             wr = ev[:, 1:] - 0.5 * sig[:, 1:]
         delta = np.subtract(wr, wl, out=self._delta[:m * (k + 1)].reshape(m, k + 1))
         mean = np.add(wl, wr, out=self._mean[:m * (k + 1)].reshape(m, k + 1))
         mean *= 0.5
-        ahat = model.flux_operator(mean)
+        ahat = self._flux_operator(mean, lo, t)
         ad = ahat(delta)
         # Q delta = 1/2 (delta / nu + nu A_hat (A_hat delta)), then
         # D^+- = 1/2 (A_hat delta +- Q delta), each product rounded as written
@@ -219,7 +251,7 @@ class MomentBuffer:
         dminus *= 0.5
         bracket = np.add(dplus[:, :-1], dminus[:, 1:], out=self._bracket[:m * k].reshape(m, k))
         if g == 2:
-            bracket += model.flux_operator(ev[:, 1:-1])(sig[:, 1:-1])
+            bracket += self._flux_operator(ev[:, 1:-1], lo, t)(sig[:, 1:-1])
         bracket *= nu
         w[:, lo:hi] -= bracket
         self.span = (max(lo - g, 0), min(hi + g, n))

@@ -38,13 +38,12 @@ def largest_hermite_root(n: int) -> float:
 
 
 def _check_state(w, rho, theta, what="rho or theta"):
-    """StateError naming the first cell that is non-finite or has rho or theta <= 0."""
+    """StateError naming the first cell that is non-finite, else the first
+    that fails check_rho_theta."""
     if not np.isfinite(w).all():
         bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
         raise StateError(f"non-finite state in cell {bad}")
-    if (np.fmin(rho, theta) <= 0.0).any():
-        bad = int(np.argwhere((rho <= 0.0) | (theta <= 0.0))[0, 0])
-        raise StateError(f"{what} <= 0 in cell {bad}")
+    check_rho_theta(rho, theta, what)
 
 
 def _equilibrium_args(rho, u, theta):
@@ -161,7 +160,7 @@ class HMEModel:
         wt = np.asarray(wt, dtype=float)
         m = self.n_vars
         rho, u, theta = wt[0], wt[1], wt[2]
-        check_rho_theta(rho, theta, "hme state")
+        check_rho_theta(rho, theta, "hme rho or theta")
         fbar = wt.copy()
         fbar[1:3] = 0.0
         six_rho = 6.0 / rho
@@ -280,7 +279,7 @@ class EulerModel:
         over a (3, 3, n) coefficient array, c[k, b] the coefficient of v_k in
         row b."""
         wt = np.asarray(wt, dtype=float)
-        check_rho_theta(wt[0], wt[2], "euler state")
+        check_rho_theta(wt[0], wt[2], "euler rho or theta")
         c = np.empty((3, 3, wt.shape[1]))
         _euler_columns(c, wt[0], wt[1], wt[2])
         return lambda v: np.einsum("kmn,kn->mn", c, v)

@@ -51,7 +51,7 @@ def gaussian_rule(u: float, theta: float, n: int = DEFAULT_ORDER) -> QuadratureR
     contains the Gaussian factor, exactly when g/N is a polynomial of
     degree <= 2n-1.
     """
-    if theta <= 0.0:
+    if not theta > 0.0:
         raise ConfigError(f"gaussian_rule needs theta > 0, got {theta}")
     base = gauss_hermite_e(n)
     return QuadratureRule(nodes=u + math.sqrt(theta) * base.nodes,

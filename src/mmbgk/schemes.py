@@ -47,7 +47,11 @@ even with t_end = 0. After that, each step's result is checked once: after
 the source for a micro step, after the transport for an Euler substep,
 after the hand-back of the macro state for a macro step; cpi on the
 adaptive model checks its extrapolated rows before matching them too. Every
-check names the cell, the time and the phase.
+check names the cell, the time and the phase, and so does a transport whose
+flux operator rejects an order-2 predicted state. Step inputs are checked
+in __init__ too: t_end, dt_macro and a dt_micro the scheme reads must be
+finite, and a snapshot interval must exceed the 1e-6 of the pace that run()
+absorbs, so no accepted run is endless or takes no step.
 """
 
 from dataclasses import dataclass
@@ -55,7 +59,7 @@ import math
 import time
 
 from .coupling import match_hsm_states, pi_extrapolate, transform_state_slots
-from .errors import ConfigError, DomainError, StateError
+from .errors import ConfigError, DomainError, StateError, at_time
 # spatial_update, apply_source, apply_source_exact and cfl_timestep are not
 # called here; they stay module globals because perfbench's tracer patches
 # them by name
@@ -117,12 +121,12 @@ class _Runner:
             raise ConfigError(f"micro_steps must be >= 1, got {cfg.micro_steps}")
         if not cfg.eps > 0.0:
             raise ConfigError(f"eps must be positive (inf allowed), got {cfg.eps}")
-        if not cfg.dt_macro > 0.0:
-            raise ConfigError(f"dt_macro must be positive, got {cfg.dt_macro}")
+        if not 0.0 < cfg.dt_macro < math.inf:
+            raise ConfigError(f"dt_macro must be positive and finite, got {cfg.dt_macro}")
         if not 0.0 < cfg.cfl <= 1.0:
             raise ConfigError(f"cfl must lie in (0, 1], got {cfg.cfl}")
-        if cfg.t_end < 0.0:
-            raise ConfigError(f"t_end must be >= 0, got {cfg.t_end}")
+        if not 0.0 <= cfg.t_end < math.inf:
+            raise ConfigError(f"t_end must be >= 0 and finite, got {cfg.t_end}")
         if cfg.n_snapshots < 1:
             raise ConfigError(f"n_snapshots must be >= 1, got {cfg.n_snapshots}")
         self.cfg, self.field0 = cfg, field0
@@ -167,8 +171,8 @@ class _Runner:
             if self.macro:
                 caps.append(cfg.dt_macro / self.k)
             self.dt_micro = min(caps)
-        elif not self.dt_micro > 0.0:
-            raise ConfigError(f"dt_micro must be positive, got {self.dt_micro}")
+        elif not 0.0 < self.dt_micro < math.inf:
+            raise ConfigError(f"dt_micro must be positive and finite, got {self.dt_micro}")
         if self.macro:
             if self.k * self.dt_micro > cfg.dt_macro * (1.0 + 1e-12):
                 raise ConfigError(
@@ -178,6 +182,14 @@ class _Runner:
             self.euler_buf = MomentBuffer(field0.grid, self.euler, cfg.order)
         # the step run() hands to step(); euler's dt_micro is its dt_macro
         self.pace = cfg.dt_macro if self.macro else self.dt_micro
+        # run() absorbs a remainder up to this into the time stamp, so a
+        # snapshot interval no longer than it would end the run without a step
+        self.absorbed = self.pace * 1e-6
+        if 0.0 < cfg.t_end / cfg.n_snapshots <= self.absorbed:
+            raise ConfigError(
+                f"snapshot interval {cfg.t_end / cfg.n_snapshots:g} is at most 1e-6 of "
+                f"the pace {self.pace:g}, so the run would take no step"
+            )
 
     def _micro(self, t: float, dt: float, n: int, keep: int = 0):
         """n transport + relaxation steps of size dt on the buffer from time t.
@@ -257,11 +269,11 @@ class _Runner:
                 try:
                     self.model.validate(macro.T)
                 except StateError as exc:
-                    raise StateError(f"{exc} at t={t + dt_total:g} (extrapolate)") from exc
+                    raise at_time(exc, t + dt_total, "extrapolate") from exc
             try:
                 w[...] = transform_state_slots(w, macro)
             except DomainError as exc:
-                raise DomainError(f"{exc} at t={t + dt_total:g} (match)") from exc
+                raise at_time(exc, t + dt_total, "match") from exc
         elif self.extrapolate:  # fixed basis or L = M: the rest carries over
             w[:l] = macro
         else:  # fixed basis: the free rows carry over in place
@@ -311,7 +323,7 @@ class _Runner:
             # stamp: the state change over r is invisible at any tolerance,
             # while a FORCE substep at nu -> 0 applies a nu-independent
             # smoothing that would corrupt the field
-            while (r := target - t) > self.pace * 1e-6:
+            while (r := target - t) > self.absorbed:
                 # fold sub-permille overshoot into the final step so the
                 # output stays continuous across step-count seams
                 t, rep = self.step(t, self.pace if r > self.pace * (1.0 + 1e-3) else r)

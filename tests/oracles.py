@@ -102,8 +102,9 @@ def dense_flux_matrices(model, w):
     """Dense flux matrices A(w) of model ('hme', 'hsm' or 'euler').
 
     Accepts shape (M,) or (n, M), returns (M, M) or (n, M, M). An adaptive
-    or Euler state with rho or theta <= 0 raises the StateError the
-    matrix-free operator raises. The adaptive last row carries the
+    or Euler state with rho or theta <= 0 or NaN raises the StateError the
+    matrix-free operator raises, with the same wording and the index of the
+    first such state, found here. The adaptive last row carries the
     hyperbolicity regularization: the (M-1, 1) entry is dropped and the
     (M-1, 2) entry uses -f_{M-2} in place of (M-1) f_{M-2} / 2. Entries on
     the constrained columns accumulate, so the sub-diagonal theta only
@@ -120,8 +121,9 @@ def dense_flux_matrices(model, w):
         a[:] = np.diag(off, 1) + np.diag(off, -1)
         return a[0] if squeeze else a
     rho, u, theta = w[:, 0], w[:, 1], w[:, 2]
-    if (np.fmin(rho, theta) <= 0.0).any():
-        raise StateError(f"{model.kind} state needs rho > 0 and theta > 0")
+    bad = [i for i in range(n) if not (rho[i] > 0.0 and theta[i] > 0.0)]
+    if bad:
+        raise StateError(f"{model.kind} rho or theta <= 0 in cell {bad[0]}")
     a[:, 0, 0] = u
     a[:, 0, 1] = rho
     a[:, 1, 0] = theta / rho

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from mmbgk.basis import (
     BasisParams,
     HEAT_FLUX_COEFF,
+    check_rho_theta,
     eval_basis,
     hermite_he_values,
     hme_expansion,
@@ -86,6 +87,8 @@ def test_basis_index_validation():
         eval_basis(BasisParams(0.0, -1.0), 0.0, 1)
     with pytest.raises(DomainError):
         weight_function(BasisParams(0.0, 0.0), 0.0)
+    with pytest.raises(DomainError, match="basis temperature must be positive, got nan"):
+        weight_function(BasisParams(0.0, math.nan), [0.0])
 
 
 # --- Maxwellian coefficients -------------------------------------------------
@@ -151,11 +154,26 @@ def test_maxwellian_broadcasting():
             m2[i, j], maxwellian_coefficients(rho[i, j], u[i, j], theta[0, j], 7))
 
 
+@pytest.mark.parametrize("rho,theta,cell", [
+    (math.nan, 1.0, 0), (1.0, math.nan, 0), (0.0, 1.0, 0), (1.0, -0.0, 0),
+    ([1.0, 2.0, math.nan, -1.0], 1.0, 2), ([1.0, 2.0, 3.0], [1.0, 0.5, -1e-300], 2),
+])
+def test_check_rho_theta_fails_nan_and_names_the_first_index(rho, theta, cell):
+    with pytest.raises(StateError, match=rf"^x rho or theta <= 0 in cell {cell}$") as err:
+        check_rho_theta(np.asarray(rho), np.asarray(theta), "x rho or theta")
+    assert err.value.cell == cell
+    check_rho_theta(np.array([1.0, 5e-324]), np.array([2.0, 1.0]), "x")
+
+
 def test_maxwellian_rejects_bad_state():
     with pytest.raises(StateError):
         maxwellian_coefficients(-1.0, 0.0, 1.0, 6)
     with pytest.raises(StateError):
         maxwellian_coefficients(1.0, 0.0, 0.0, 6)
+    with pytest.raises(StateError, match=r"^Maxwellian rho or theta <= 0 in cell 0$"):
+        maxwellian_coefficients(math.nan, 0.0, 1.0, 4)
+    with pytest.raises(StateError, match=r"^Maxwellian rho or theta <= 0 in cell 1$"):
+        maxwellian_coefficients(np.ones(3), 0.0, np.array([1.0, math.nan, 1.0]), 4)
 
 
 # --- moment extraction -------------------------------------------------------
@@ -243,6 +261,11 @@ def test_expansion_validation():
         hsm_expansion(np.array([1.0, 0.0]))
     with pytest.raises(StateError):
         hsm_expansion(np.array([1.0, 0.0, -2.0, 0.0]))  # recovered theta < 0
+    for coeffs in ([1.0, 0.0, math.nan, 0.1], [math.nan, 0.0, 1.0, 0.1]):
+        with pytest.raises(StateError, match=r"^hme expansion rho or theta <= 0 in cell 0$"):
+            hme_expansion(coeffs)
+    with pytest.raises(StateError, match=r"^hsm expansion rho or theta <= 0 in cell 0$"):
+        hsm_expansion([1.0, 0.0, math.nan, 0.1])
 
 
 # --- weighted L2 distance ----------------------------------------------------
@@ -291,3 +314,5 @@ def test_distance_argument_validation():
         weighted_l2_distance(a, b, a.params)
     with pytest.raises(DomainError):
         weighted_l2_distance(a, a, BasisParams(0.0, -1.0))
+    with pytest.raises(DomainError, match="weight temperature must be positive, got nan"):
+        weighted_l2_distance(a, a, BasisParams(0.0, math.nan))

@@ -193,6 +193,26 @@ def test_bench_micro_reference_keeps_its_cfl_cap(tmp_path, capsys):
     assert int(rows[0][3]) == 6  # 0.02 over the CFL step 0.0037
 
 
+@pytest.mark.parametrize("flags,msg", [
+    (["--t-end", "nan"], "t_end must be >= 0 and finite"),
+    (["--t-end", "inf"], "t_end must be >= 0 and finite"),
+    (["--t-end", "0.05", "--scheme", "mmhme", "--dt-macro", "inf"], "dt_macro must be"),
+    (["--t-end", "0.05", "--scheme", "euler", "--dt-macro", "inf"], "dt_macro must be"),
+    (["--t-end", "0.05", "--scheme", "micro", "--dt-micro", "1e300"], "would take no step"),
+])
+def test_step_inputs_that_take_no_step_or_never_end_exit_two(flags, msg, tmp_path, capsys,
+                                                            monkeypatch):
+    def no_step(self, t, dt):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(schemes._Runner, "step", no_step)
+    rc = parse_and_dispatch(["two-beam", "--cells", "20", *flags,
+                             "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    assert msg in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bad_float_list_exits_two(capsys):
     assert parse_and_dispatch(["bench", "--eps", "abc"]) == 2
     assert "comma-separated numbers" in capsys.readouterr().err

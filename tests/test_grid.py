@@ -333,3 +333,36 @@ def test_cfl_violation_outside_the_span_names_its_cell():
     assert buf.span == (13, 17)
     with pytest.raises(StepError, match=r"CFL violation in cell 0 at t=0\.5 \(transport\)"):
         buf.transport(2.0 * grid.dx / buf.max_speed(), 0.5)
+
+
+@pytest.mark.parametrize("order,jump,call,col,cell", [
+    (1, 9, 0, 0, 9),  # interface mean j lies left of cell lo + j
+    (1, 9, 0, 2, 11),
+    (1, 18, 0, 2, 19),  # the last interface names the last cell
+    (2, 9, 0, 0, 7),  # predictor column j is cell lo - 1 + j
+    (2, 0, 0, 0, 0),  # ... and its left ghost is cell 0
+    (2, 9, 1, 4, 12),
+    (2, 9, 2, 3, 11),  # predicted state j is cell lo + j
+])
+def test_rejected_transport_state_names_its_grid_cell(order, jump, call, col, cell,
+                                                      monkeypatch):
+    # one jump, between cells jump and jump + 1, gives the span; the flux
+    # operator's call-th batch (0: predictor at order 2, then the interface
+    # means, then the predicted states) rejects its column col
+    real, widths = EulerModel.flux_operator, []
+
+    def rejecting(self, wt):
+        widths.append(wt.shape[1])
+        if len(widths) == call + 1:
+            raise StateError("euler rho or theta", col)
+        return real(self, wt)
+
+    model = EulerModel()
+    grid = Grid1D(-1.0, 1.0, 20)
+    buf = MomentBuffer(grid, model, order)
+    buf.load(model.equilibrium(np.ones(20), 0.0, np.where(np.arange(20) <= jump, 2.0, 1.0)))
+    monkeypatch.setattr(EulerModel, "flux_operator", rejecting)
+    with pytest.raises(StateError, match=rf"^euler rho or theta <= 0 in cell {cell} "
+                       r"at t=0\.5 \(transport\)$"):
+        buf.transport(0.5 * grid.dx / buf.max_speed(), 0.5)
+    assert col < widths[-1]

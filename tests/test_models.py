@@ -143,7 +143,8 @@ def test_flux_operator_matches_dense_product(kind, m):
 
 
 @pytest.mark.parametrize("kind", ["hme", "euler"])
-@pytest.mark.parametrize("slot,value", [(0, 0.0), (0, -1.0), (2, 0.0), (2, -0.5)])
+@pytest.mark.parametrize("slot,value", [(0, 0.0), (0, -1.0), (2, 0.0), (2, -0.5),
+                                        (0, math.nan), (2, math.nan)])
 def test_flux_operator_raises_like_dense_builder(kind, slot, value):
     model = make_model(kind, 6)
     w = _realizable_states(np.random.default_rng(9), 5, model.n_vars)
@@ -155,6 +156,7 @@ def test_flux_operator_raises_like_dense_builder(kind, slot, value):
     with pytest.raises(StateError) as derived:
         model.system_matrices(w)
     assert str(free.value) == str(dense.value) == str(derived.value)
+    assert str(free.value) == f"{kind} rho or theta <= 0 in cell 3"
 
 
 # --- one PDE in two forms ----------------------------------------------------

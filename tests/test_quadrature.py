@@ -79,6 +79,8 @@ def test_invalid_arguments():
         gaussian_rule(0.0, 0.0)
     with pytest.raises(ConfigError):
         gaussian_rule(0.0, -1.0)
+    with pytest.raises(ConfigError, match="gaussian_rule needs theta > 0, got nan"):
+        gaussian_rule(0.0, math.nan, 4)
 
 
 def test_order_zero_raises_the_rule_error():
