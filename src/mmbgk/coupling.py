@@ -27,11 +27,11 @@ def _check_weight_ratio(theta_new, theta_prior):
     """DomainError naming the first cell outside the matching bound.
 
     int phi*_i phi+_j (omega+)^-1 dc needs the prior Gaussian to decay
-    faster than sqrt(omega+): theta* < 2 theta+.
+    faster than sqrt(omega+): theta* < 2 theta+. NaN fails: a NaN
+    comparison is not <.
     """
-    over = theta_prior >= 2.0 * theta_new
-    if over.any():
-        bad = int(over.argmax())
+    if not (ok := theta_prior < 2.0 * theta_new).all():
+        bad = int(np.argmin(ok))
         raise DomainError(
             "matching outside the realizability bound theta_prior < 2*theta_new "
             f"in cell {bad}: theta_prior={theta_prior[bad]:g}, theta_new={theta_new[bad]:g}"

@@ -5,18 +5,23 @@ w = (rho, u, theta, f_3, ..., f_{M-1}) and a state-dependent flux matrix;
 the fixed-basis (HSM) model carries raw Hermite coefficients and a constant
 symmetric tridiagonal matrix. The Euler model is the adaptive one's leading
 (rho, u, theta) block, with no free slots and so no collision; the two bind
-the same validate, primitive_moments, equilibrium and relax_moments.
+the same restriction, equilibrium and relax_moments.
 
-Each model defines its transport once, as flux_operator: built once from a
-batch of moment-major states (M, n), it returns v -> A(w) v in O(n M)
-without forming A; the adaptive and Euler ones apply one einsum over a
-coefficient array of the dense columns. The collision, relax_moments,
+Each model defines three rules once. Transport is flux_operator: built once
+from a batch of moment-major states (M, n), it returns v -> A(w) v in
+O(n M) without forming A; the adaptive and Euler ones apply one einsum over
+a coefficient array of the dense columns. Collision is relax_moments: it
 decays the free moments by decay_factor in place on moment-major rows; the
-fixed-basis one blends towards a local Maxwellian built as rows. Each class
-body binds the derived rest:
-system_matrices reads A(w) off flux_operator for spectra, and relax /
-relax_exact apply relax_moments to a copy. The dense builders are the test
-oracle, in tests/oracles.py.
+fixed-basis one blends towards a local Maxwellian built as rows.
+Restriction is primitives: the (rho, u, theta) of the moments on the last
+axis of w, so it reads a cell-major (n, M) batch and the rows of a
+moment-major buffer (passed as wt.T) alike; the adaptive and Euler ones
+return views of slots 0-2. Each class body binds the derived rest:
+validate (a finite scan, then check_rho_theta on primitives) and
+primitive_moments (primitives stacked as (n, 3)); system_matrices reads
+A(w) off flux_operator for spectra, and relax / relax_exact apply
+relax_moments to a copy. The dense builders are the test oracle, in
+tests/oracles.py.
 """
 
 from functools import lru_cache
@@ -35,15 +40,6 @@ def largest_hermite_root(n: int) -> float:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     return float(gauss_hermite_e(n).nodes[-1])
-
-
-def _check_state(w, rho, theta, what="rho or theta"):
-    """StateError naming the first cell that is non-finite, else the first
-    that fails check_rho_theta."""
-    if not np.isfinite(w).all():
-        bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
-        raise StateError(f"non-finite state in cell {bad}")
-    check_rho_theta(rho, theta, what)
 
 
 def _equilibrium_args(rho, u, theta):
@@ -104,14 +100,24 @@ def _euler_columns(c, rho, u, theta):
 
 
 def _validate(self, w):
+    """StateError naming the first cell of the states w that is non-finite,
+    else the first whose primitives fail check_rho_theta."""
     w = np.atleast_2d(w)
-    _check_state(w, w[:, 0], w[:, 2])
+    if not np.isfinite(w).all():
+        bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
+        raise StateError(f"non-finite state in cell {bad}")
+    rho, _, theta = self.primitives(w)
+    check_rho_theta(rho, theta, self._checked)
 
 
 def _primitive_moments(self, w):
     """(rho, u, theta) per cell, shape (n, 3)."""
-    w = np.atleast_2d(np.asarray(w, dtype=float))
-    return w[:, :3].copy()
+    return np.stack(self.primitives(np.atleast_2d(np.asarray(w, dtype=float))), axis=1)
+
+
+def _leading_slots(self, w):
+    """(rho, u, theta) of the states w: views of slots 0-2 of the last axis."""
+    return w[..., 0], w[..., 1], w[..., 2]
 
 
 def _equilibrium(self, rho, u, theta):
@@ -144,7 +150,8 @@ class HMEModel:
 
     system_matrices, relax, relax_exact = _system_matrices, _relax, _relax_exact
     validate, primitive_moments = _validate, _primitive_moments
-    equilibrium, relax_moments = _equilibrium, _relax_moments
+    primitives, equilibrium, relax_moments = _leading_slots, _equilibrium, _relax_moments
+    _checked = "rho or theta"
 
     def flux_operator(self, wt):
         """v -> A(w) v for moment-major states wt of shape (M, n), matrix-free.
@@ -212,6 +219,9 @@ class HSMModel:
         self._off = np.sqrt(np.arange(1.0, n_moments))[:, None]
 
     system_matrices, relax, relax_exact = _system_matrices, _relax, _relax_exact
+    validate, primitive_moments = _validate, _primitive_moments
+    primitives = staticmethod(hsm_primitives)
+    _checked = "recovered rho or theta"
 
     def flux_operator(self, wt):
         """State-independent: the same tridiagonal product for every batch."""
@@ -239,16 +249,11 @@ class HSMModel:
         """
         if math.isinf(eps):
             return
-        rho, u, theta = hsm_primitives(ft.T)
+        rho, u, theta = self.primitives(ft.T)
         m = maxwellian_coefficients(rho, u, theta, self.n_vars).T
         ft -= m
         ft *= factor
         ft += m
-
-    def primitive_moments(self, f):
-        f = np.atleast_2d(np.asarray(f, dtype=float))
-        rho, u, theta = hsm_primitives(f)
-        return np.stack([rho, u, theta], axis=1)
 
     def heat_flux(self, f):
         """Third central moment from the raw coefficients."""
@@ -257,11 +262,6 @@ class HSMModel:
     def equilibrium(self, rho, u, theta):
         rho, u, theta = _equilibrium_args(rho, u, theta)
         return maxwellian_coefficients(rho, u, theta, self.n_vars)
-
-    def validate(self, f):
-        f = np.atleast_2d(f)
-        rho, _, theta = hsm_primitives(f)
-        _check_state(f, rho, theta, "recovered rho or theta")
 
 
 class EulerModel:
@@ -272,7 +272,8 @@ class EulerModel:
 
     system_matrices, relax, relax_exact = _system_matrices, _relax, _relax_exact
     validate, primitive_moments = _validate, _primitive_moments
-    equilibrium, relax_moments = _equilibrium, _relax_moments
+    primitives, equilibrium, relax_moments = _leading_slots, _equilibrium, _relax_moments
+    _checked = "rho or theta"
 
     def flux_operator(self, wt):
         """v -> A(w) v for moment-major (3, n) states and vectors: one einsum

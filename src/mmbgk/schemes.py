@@ -19,15 +19,17 @@ micro step. Every advance of run() goes through step(), which covers its
 interval one of four ways: euler in CFL-limited Euler substeps; micro and
 micro-split in one micro step; a macro scheme's sub-pace remainder too short
 for its K micro steps in micro steps of dt_micro and one of the rest; and
-anything else in one macro step. Each advance makes one StepReport, so the
-reports cover t_end.
+anything else in one macro step. step() alone decides whether an interval
+holds the K micro steps, so a macro step's leftover is max(dt - K dt_micro,
+0) and raises nothing. Each advance makes one StepReport, so the reports
+cover t_end.
 
 A run keeps its state in a moment-major grid.MomentBuffer that the runner
 allocates once (a second one holds the mm schemes' Euler leftover), and
 every stretch of transport steps advances it in place. The state is
 converted to a cell-major Field only for snapshots. A macro step stays on
-rows: restriction writes the model's (rho, u, theta) rows of the last micro
-state into the Euler buffer, which the leftover advances in place; the L
+rows: restriction writes the model's primitives of the last micro state's
+rows into the Euler buffer, which the leftover advances in place; the L
 macro rows (those, or the extrapolated ones) go to the coupling operators
 with the buffer's rows, and the runner writes back only the rows that
 change. Each buffer's transport updates only its span, the cells whose
@@ -245,20 +247,15 @@ class _Runner:
         t0 = time.perf_counter()
         prev = self._micro(t, dt, k, keep=l if self.extrapolate else 0)
         t1 = t2 = time.perf_counter()
-        # the interval left after the micro steps; a rounding shortfall is none
-        tau = dt_total - k * dt
-        if tau < 0.0:
-            if tau < -dt * 1e-9:
-                raise ConfigError(
-                    f"step of {dt_total:g} cannot hold {k} micro steps of {dt:g}"
-                )
-            tau = 0.0
+        # the interval left after the micro steps; step() decided that they
+        # fit, so a rounding shortfall is none
+        tau = max(dt_total - k * dt, 0.0)
         if self.extrapolate:
             macro = pi_extrapolate(w[:l], prev, dt, k * dt + tau, k)
         else:
             # restriction: the (rho, u, theta) rows of the last micro state
             macro = self.euler_buf.w
-            macro[...] = self.model.primitive_moments(w.T).T
+            macro[...] = self.model.primitives(w.T)
             self.euler_buf.span = self.buf.span
             t2 = time.perf_counter()
             if tau > 0.0:

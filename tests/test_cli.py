@@ -213,6 +213,15 @@ def test_step_inputs_that_take_no_step_or_never_end_exit_two(flags, msg, tmp_pat
     assert not list(tmp_path.iterdir())
 
 
+def test_step_that_holds_its_micro_steps_up_to_rounding_exits_zero(tmp_path, capsys):
+    # t_end falls 4.5e-16 short of the 2000 micro steps of 2.5e-7
+    rc = parse_and_dispatch(["two-beam", "--scheme", "mmhme", "--cells", "20",
+                             "--micro-steps", "2000", "--t-end", "0.0004999999999995501",
+                             "--out", str(tmp_path / "b.csv")])
+    assert rc == 0, capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b_t0.csv", "b_t1.csv"]
+
+
 def test_bad_float_list_exits_two(capsys):
     assert parse_and_dispatch(["bench", "--eps", "abc"]) == 2
     assert "comma-separated numbers" in capsys.readouterr().err

@@ -254,6 +254,17 @@ def test_batched_matching_domain_bound_names_first_cell():
         transform_state_slots(w.T, macro.T)
 
 
+@pytest.mark.parametrize("row,msg", [("macro", "theta_prior=1, theta_new=nan"),
+                                     ("prior", "theta_prior=nan, theta_new=1")])
+def test_batched_matching_domain_bound_fails_nan(row, msg):
+    # a NaN theta on either side is outside the bound: NaN < x is false
+    w = np.tile([1.0, 0.0, 1.0, 0.1, 0.05], (4, 1))  # adaptive, M = 5
+    macro = w[:, :3].copy()
+    (macro if row == "macro" else w)[2, 2] = math.nan
+    with pytest.raises(DomainError, match=rf"in cell 2: {msg}$"):
+        transform_state_slots(w.T, macro.T)
+
+
 def test_batched_fixed_basis_matching():
     f_prior = np.array([[1.0, 0.0, 0.0, 0.5, -0.1], [1.2, 0.1, 0.05, 0.2, 0.3]])
     macro = np.array([[1.1, 0.2, 1.05], [1.0, 0.0, 1.0]])

@@ -9,7 +9,9 @@ from mmbgk.basis import (
     BasisParams, hme_state_to_expansion, hsm_primitives, maxwellian_coefficients,
 )
 from mmbgk.errors import ConfigError, DomainError, StateError
-from mmbgk.models import EulerModel, HMEModel, decay_factor, largest_hermite_root, make_model
+from mmbgk.models import (
+    EulerModel, HMEModel, HSMModel, decay_factor, largest_hermite_root, make_model,
+)
 from oracles import basis_transform, dense_flux_matrices
 
 SQRT2 = math.sqrt(2.0)
@@ -392,8 +394,36 @@ def test_relax_rejects_nonpositive_eps(kind, eps):
 
 def test_euler_binds_the_adaptive_state_rules():
     # Euler is the adaptive model's leading block: one object per rule
-    for name in ("validate", "primitive_moments", "equilibrium", "relax_moments"):
+    for name in ("primitives", "validate", "primitive_moments", "equilibrium",
+                 "relax_moments"):
         assert EulerModel.__dict__[name] is HMEModel.__dict__[name], name
+
+
+def test_fixed_basis_derives_its_state_rules_from_its_own_primitives():
+    # validate and primitive_moments are one object each, bound in every
+    # model class's own namespace; the fixed basis differs in primitives
+    for name in ("validate", "primitive_moments"):
+        assert HSMModel.__dict__[name] is HMEModel.__dict__[name], name
+    assert HSMModel.__dict__["primitives"] is not HMEModel.__dict__["primitives"]
+
+
+@pytest.mark.parametrize("kind,m", [("hme", 4), ("hme", 10), ("hme", 40), ("hsm", 3),
+                                    ("hsm", 6), ("hsm", 10), ("euler", 3)])
+def test_primitives_of_rows_equal_primitive_moments_of_cells(kind, m):
+    # the restriction reads moment-major rows (wt.T) and cell-major cells
+    # alike, bit for bit
+    rng = np.random.default_rng(m)
+    model = make_model(kind, m)
+    n = 50
+    w = model.equilibrium(rng.uniform(0.2, 3.0, n), rng.uniform(-2.0, 2.0, n),
+                          rng.uniform(0.2, 3.0, n))
+    w[:, 3:] += 0.01 * rng.standard_normal((n, m - 3))
+    model.validate(w)
+    wt = np.ascontiguousarray(w.T)
+    np.testing.assert_array_equal(np.stack(model.primitives(wt.T)),
+                                  model.primitive_moments(w).T)
+    if kind != "hsm":  # the adaptive and Euler restrictions are views
+        assert all(np.shares_memory(p, wt) for p in model.primitives(wt.T))
 
 
 def test_relax_exact_fixed_basis_targets_maxwellian():

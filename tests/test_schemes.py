@@ -425,21 +425,54 @@ def test_invalid_input_names_cell_time_and_phase(scheme):
             run(f, cfg)
 
 
-def test_invalid_extrapolated_state_names_cell_time_and_phase():
-    # pi at eps = 1e-5 extrapolates the two-beam shock to rho or theta <= 0
-    cfg = TwoBeamConfig(scheme="pi", eps=1e-5, t_end=0.003)
-    with pytest.raises(StateError, match=r"in cell 244 at t=0\.002 \(extrapolate\)"):
-        run(two_beam_initial(cfg)[0], cfg)
+def _extrapolate_negative_theta(monkeypatch, cell):
+    """schemes.pi_extrapolate returns the real extrapolation with the theta
+    of one cell negative."""
+    extrapolate = schemes.pi_extrapolate
+
+    def negative_theta(*args):
+        out = extrapolate(*args)
+        out[2, cell] = -1.0
+        return out
+
+    monkeypatch.setattr(schemes, "pi_extrapolate", negative_theta)
 
 
-def test_cpi_checks_the_extrapolated_rows_before_matching():
-    # cpi at eps = 1e-5 on 100 cells extrapolates theta <= 0 in cell 47; the
-    # extrapolated rows are checked before the matching reads them, so the
-    # run stops in phase extrapolate, not at the matching bound
-    cfg = TwoBeamConfig(scheme="cpi", eps=1e-5, n_cells=100, t_end=0.003)
+def test_invalid_extrapolated_state_names_cell_time_and_phase(monkeypatch):
+    # pi writes the extrapolated state, theta <= 0 in cell 47, into the
+    # buffer; its check names the cell, the time and the phase
+    _extrapolate_negative_theta(monkeypatch, 47)
+    cfg = TwoBeamConfig(scheme="pi", eps=1e-4, n_cells=100, t_end=0.003)
     with pytest.raises(StateError, match=r"^rho or theta <= 0 in cell 47 at "
-                       r"t=0\.0015 \(extrapolate\)$"):
+                       r"t=0\.0005 \(extrapolate\)$"):
         run(two_beam_initial(cfg)[0], cfg)
+
+
+def test_cpi_checks_the_extrapolated_rows_before_matching(monkeypatch):
+    # cpi extrapolates theta <= 0 in cell 47; the extrapolated rows are
+    # checked before the matching reads them, so the run stops with a
+    # StateError in phase extrapolate, not with the matching bound's
+    # DomainError
+    _extrapolate_negative_theta(monkeypatch, 47)
+    cfg = TwoBeamConfig(scheme="cpi", eps=1e-4, n_cells=100, t_end=0.003)
+    with pytest.raises(StateError, match=r"^rho or theta <= 0 in cell 47 at "
+                       r"t=0\.0005 \(extrapolate\)$"):
+        run(two_beam_initial(cfg)[0], cfg)
+
+
+def test_step_that_holds_its_micro_steps_up_to_rounding_completes():
+    # t_end falls 4.5e-16 short of K dt_micro = 2000 * 2.5e-7, inside the
+    # relative 1e-12 by which step() takes it as one macro step; the step's
+    # leftover is then none, as in the reference
+    cfg = TwoBeamConfig(scheme="mmhme", n_cells=20, micro_steps=2000,
+                        t_end=0.0004999999999995501)
+    f = two_beam_initial(cfg)[0]
+    snaps, reports = run_with_reports(f, cfg)
+    ref, n_steps = _reference_run(f, cfg)
+    assert len(reports) == n_steps == 1 and reports[0].micro_steps == 2000
+    assert [s.time for s in snaps] == [s.time for s in ref]
+    for a, b in zip(snaps, ref):
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_failed_fixed_basis_relaxation_names_cell_time_and_phase(monkeypatch):
