@@ -17,12 +17,16 @@ the other forward-Euler sources (micro-split's exact source has none); and
 dt_macro/K for the macro schemes. An explicit dt_micro wins; euler has no
 micro step. Every advance of run() goes through step(), which covers its
 interval one of four ways: euler in CFL-limited Euler substeps; micro and
-micro-split in one micro step; a macro scheme's sub-pace remainder too short
-for its K micro steps in micro steps of dt_micro and one of the rest; and
-anything else in one macro step. step() alone decides whether an interval
-holds the K micro steps, so a macro step's leftover is max(dt - K dt_micro,
-0) and raises nothing. Each advance makes one StepReport, so the reports
-cover t_end.
+micro-split in one micro step; a macro scheme's interval that holds its K
+micro steps in one macro step; and a shorter one, the tail, in micro steps
+of dt_micro, the last one of the rest. One remainder rule holds throughout:
+no step covers time the run absorbs, a remainder up to 1e-6 of the pace
+(the step run() hands to step()). run() stamps such a remainder onto the
+time, the split takes an interval within it of K dt_micro as a macro step,
+a tail or an Euler advance stops within it of its end, and a macro step's
+leftover within it is none. So a tail never exceeds dt_micro. The one other
+rule is run()'s fold of a final overshoot up to 1e-3 of the pace into the
+last step. Each advance makes one StepReport, so the reports cover t_end.
 
 A run keeps its state in a moment-major grid.MomentBuffer that the runner
 allocates once (a second one holds the mm schemes' Euler leftover), and
@@ -52,8 +56,8 @@ adaptive model checks its extrapolated rows before matching them too. Every
 check names the cell, the time and the phase, and so does a transport whose
 flux operator rejects an order-2 predicted state. Step inputs are checked
 in __init__ too: t_end, dt_macro and a dt_micro the scheme reads must be
-finite, and a snapshot interval must exceed the 1e-6 of the pace that run()
-absorbs, so no accepted run is endless or takes no step.
+finite, and a snapshot interval must exceed the absorbed remainder, so no
+accepted run is endless or takes no step.
 """
 
 from dataclasses import dataclass
@@ -175,23 +179,25 @@ class _Runner:
             self.dt_micro = min(caps)
         elif not 0.0 < self.dt_micro < math.inf:
             raise ConfigError(f"dt_micro must be positive and finite, got {self.dt_micro}")
-        if self.macro:
-            if self.k * self.dt_micro > cfg.dt_macro * (1.0 + 1e-12):
-                raise ConfigError(
-                    f"micro work {self.k}*{self.dt_micro:g} exceeds dt_macro={cfg.dt_macro:g}"
-                )
-        if self.scheme in ("mmhme", "mmhsm"):
-            self.euler_buf = MomentBuffer(field0.grid, self.euler, cfg.order)
         # the step run() hands to step(); euler's dt_micro is its dt_macro
         self.pace = cfg.dt_macro if self.macro else self.dt_micro
-        # run() absorbs a remainder up to this into the time stamp, so a
-        # snapshot interval no longer than it would end the run without a step
+        # the run's one remainder rule: no step covers a remainder up to this,
+        # since the state change over it is invisible at any tolerance while
+        # a FORCE step's dissipation does not shrink with its size. So a
+        # snapshot interval no longer than it would end the run without a
+        # step, and a pace step must hold the K micro steps up to it
         self.absorbed = self.pace * 1e-6
+        if self.macro and self.k * self.dt_micro >= cfg.dt_macro + self.absorbed:
+            raise ConfigError(
+                f"micro work {self.k}*{self.dt_micro:g} exceeds dt_macro={cfg.dt_macro:g}"
+            )
         if 0.0 < cfg.t_end / cfg.n_snapshots <= self.absorbed:
             raise ConfigError(
                 f"snapshot interval {cfg.t_end / cfg.n_snapshots:g} is at most 1e-6 of "
                 f"the pace {self.pace:g}, so the run would take no step"
             )
+        if self.scheme in ("mmhme", "mmhsm"):
+            self.euler_buf = MomentBuffer(field0.grid, self.euler, cfg.order)
 
     def _micro(self, t: float, dt: float, n: int, keep: int = 0):
         """n transport + relaxation steps of size dt on the buffer from time t.
@@ -227,7 +233,7 @@ class _Runner:
         substep's size and CFL check share one wave-speed pass. Returns the
         time reached, accumulated substep by substep."""
         remaining = dt_total
-        while remaining > dt_total * 1e-12:
+        while remaining > self.absorbed:
             smax = buf.max_speed()
             step = min(remaining, cfl_limit(self.cfg.cfl, buf.dx, smax))
             buf.transport(step, t, smax)
@@ -247,9 +253,10 @@ class _Runner:
         t0 = time.perf_counter()
         prev = self._micro(t, dt, k, keep=l if self.extrapolate else 0)
         t1 = t2 = time.perf_counter()
-        # the interval left after the micro steps; step() decided that they
-        # fit, so a rounding shortfall is none
-        tau = max(dt_total - k * dt, 0.0)
+        # the interval left after the micro steps, none if absorbed
+        tau = dt_total - k * dt
+        if tau <= self.absorbed:
+            tau = 0.0
         if self.extrapolate:
             macro = pi_extrapolate(w[:l], prev, dt, k * dt + tau, k)
         else:
@@ -283,9 +290,10 @@ class _Runner:
     def step(self, t: float, dt_total: float):
         """One advance of dt_total from time t on the buffer; returns the time
         reached and its report. euler: CFL-limited Euler substeps. micro,
-        micro-split: one micro step. A macro scheme's sub-pace remainder that
-        cannot hold the K micro steps: micro steps of dt_micro and one of the
-        rest. Anything else: one macro step."""
+        micro-split: one micro step. A macro scheme's interval that holds the
+        K micro steps up to the absorbed remainder: one macro step. A shorter
+        one, the tail: micro steps of dt_micro, the last one of the rest,
+        while the rest exceeds the absorbed remainder."""
         t0 = time.perf_counter()
         if self.scheme == "euler":
             t = self._euler_advance(self.buf, t, dt_total)
@@ -293,17 +301,13 @@ class _Runner:
         if not self.macro:
             n = 1
             self._micro(t, dt_total, n)
-        elif (dt_total < self.pace * (1.0 - 1e-12)
-                and dt_total <= self.k * self.dt_micro * (1.0 + 1e-12)):
-            dt = self.dt_micro
-            n = int(math.floor(dt_total / dt * (1.0 + 1e-12)))
-            self._micro(t, dt, n)
-            rest = dt_total - n * dt
-            if rest > dt * 1e-9:
-                self._micro(t + n * dt, rest, 1)
-                n += 1
-        else:
+        elif dt_total > self.k * self.dt_micro - self.absorbed:
             return self._macro_step(t, dt_total)
+        else:
+            dt, n = self.dt_micro, 0
+            while (rest := dt_total - n * dt) > self.absorbed:
+                self._micro(t + n * dt, min(rest, dt), 1)
+                n += 1
         return t + dt_total, StepReport(dt_total, n, t_micro=time.perf_counter() - t0)
 
     def run(self):
@@ -316,13 +320,10 @@ class _Runner:
         targets = [t0 + cfg.t_end * i / cfg.n_snapshots for i in range(1, cfg.n_snapshots + 1)]
         targets[-1] = t0 + cfg.t_end
         for target in targets:
-            # remainders below 1e-6 of the pace are absorbed into the time
-            # stamp: the state change over r is invisible at any tolerance,
-            # while a FORCE substep at nu -> 0 applies a nu-independent
-            # smoothing that would corrupt the field
+            # an absorbed remainder goes into the time stamp, not into a step
             while (r := target - t) > self.absorbed:
-                # fold sub-permille overshoot into the final step so the
-                # output stays continuous across step-count seams
+                # the fold: a sub-permille overshoot joins the final step, so
+                # the output stays continuous across step-count seams
                 t, rep = self.step(t, self.pace if r > self.pace * (1.0 + 1e-3) else r)
                 reports.append(rep)
             t = target

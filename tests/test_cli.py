@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mmbgk import cli, schemes
-from mmbgk.coupling import transform_state_slots
 from mmbgk.cli import _fmt, parse_and_dispatch, snapshot_path, write_csv
 from mmbgk.experiments import MomentSnapshot, TwoBeamConfig, two_beam
 
@@ -222,6 +221,19 @@ def test_step_that_holds_its_micro_steps_up_to_rounding_exits_zero(tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b_t0.csv", "b_t1.csv"]
 
 
+def test_snapshot_target_an_ulp_past_a_pace_multiple_keeps_the_last_csv(tmp_path, capsys):
+    # at eps = 1e-3 the K micro steps fill the pace; a snapshot target that
+    # lands an ulp past a pace multiple leaves a leftover the run absorbs, so
+    # four snapshots end on the bytes of one
+    for n in (1, 4):
+        rc = parse_and_dispatch(["two-beam", "--scheme", "mmhme", "--eps", "1e-3",
+                                 "--cells", "100", "--t-end", "0.006", "--snapshots",
+                                 str(n), "--out", str(tmp_path / f"s{n}.csv")])
+        assert rc == 0, capsys.readouterr().err
+    last = [(tmp_path / f"s{n}_t{n}.csv").read_bytes() for n in (1, 4)]
+    assert last[0] == last[1]
+
+
 def test_bad_float_list_exits_two(capsys):
     assert parse_and_dispatch(["bench", "--eps", "abc"]) == 2
     assert "comma-separated numbers" in capsys.readouterr().err
@@ -257,13 +269,17 @@ def test_matching_study_realizability_breach_exits_one(tmp_path, capsys):
 
 
 def test_two_beam_stopped_by_the_matching_bound_exits_one(tmp_path, capsys, monkeypatch):
-    # a macro theta below half the prior's in cell 37 crosses the bound
-    def squeeze_theta(w, macro):
-        macro = macro.copy()
-        macro[2, 37] = 0.4 * w[2, 37]
-        return transform_state_slots(w, macro)
+    # the Euler leftover of the default eps = 1e-4 ends with the macro theta
+    # of cell 37 below half the prior's; its span is found afresh
+    euler_advance = schemes._Runner._euler_advance
 
-    monkeypatch.setattr(schemes, "transform_state_slots", squeeze_theta)
+    def squeeze_theta(self, buf, t, dt_total):
+        t = euler_advance(self, buf, t, dt_total)
+        buf.w[2, 37] = 0.4 * self.buf.w[2, 37]
+        buf.span = None
+        return t
+
+    monkeypatch.setattr(schemes._Runner, "_euler_advance", squeeze_theta)
     rc = parse_and_dispatch(["two-beam", "--scheme", "mmhme", "--cells", "100",
                              "--t-end", "0.01", "--out", str(tmp_path / "b.csv")])
     assert rc == 1

@@ -79,6 +79,8 @@ def _scheme_setup(scheme, n_cells=50, m=10, **kw):
     (dict(scheme="micro", dt_micro=1e300, t_end=0.05), "the run would take no step"),
     (dict(dt_macro=1e6, t_end=1.0), "the run would take no step"),
     (dict(dt_macro=1e-3, t_end=1.5e-9, n_snapshots=2), "the run would take no step"),
+    # micro work past dt_macro by more than the absorbed 1e-6 of it
+    (dict(dt_micro=2.5e-4 * (1.0 + 2e-6), micro_steps=2, dt_macro=5e-4), "exceeds dt_macro"),
 ])
 def test_config_validation(kw, msg, monkeypatch):
     def no_step(self, t, dt):
@@ -89,6 +91,36 @@ def test_config_validation(kw, msg, monkeypatch):
     f, _ = _two_beam_field(n_cells=20)
     with pytest.raises(ConfigError, match=msg):
         run(f, _cfg(**kw))
+
+
+def test_micro_work_past_dt_macro_within_the_absorbed_remainder_runs():
+    # K dt_micro exceeds dt_macro by 5e-7 of it: each pace step is one macro
+    # step whose leftover, short of the micro work, is none
+    f, _ = _two_beam_field(n_cells=20)
+    cfg = _cfg(dt_micro=2.5e-4 * (1.0 + 5e-7), micro_steps=2, dt_macro=5e-4, t_end=1e-3)
+    snaps, reports = run_with_reports(f, cfg)
+    assert [r.micro_steps for r in reports] == [2, 2] and snaps[-1].time == 1e-3
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_tail_steps_never_exceed_dt_micro(k, monkeypatch):
+    # t_end = 0.0123 leaves a tail of 3e-4 after 24 macro steps: two full
+    # micro steps and a rest at K = 4, a rest within rounding of one full
+    # step at K = 5 (dt_micro = 1e-4). The tail's steps cover it exactly
+    # once, none longer than dt_micro
+    sizes, micro = [], schemes._Runner._micro
+
+    def recording(self, t, dt, n, keep=0):
+        sizes.extend([dt] * n)
+        return micro(self, t, dt, n, keep)
+
+    monkeypatch.setattr(schemes._Runner, "_micro", recording)
+    f, _ = _two_beam_field(n_cells=60)
+    snaps, reports = run_with_reports(f, _cfg(micro_steps=k, t_end=0.0123))
+    tail = sizes[24 * k:]
+    assert len(tail) == reports[-1].micro_steps == 3
+    assert max(tail) <= 5e-4 / k
+    assert sum(tail) == pytest.approx(3e-4, rel=1e-12)
 
 
 def test_field_width_must_match_model():
@@ -149,8 +181,8 @@ def test_equilibrium_is_a_fixed_point_of_every_scheme():
     (s, {"mmhsm": "hsm", "euler": "euler"}.get(s, "hme"), None) for s in ALL_SCHEMES
 ] + [("cpi", "hsm", 5)])
 def test_sub_pace_end_time_keeps_the_mass_inflow(scheme, model, n_macro):
-    # t_end = 24.6 macro steps: the run ends with a sub-pace fill, which
-    # must advance the field by the whole remainder
+    # t_end = 24.6 macro steps: the run ends with a tail of micro steps,
+    # which must advance the field by the whole remainder
     u_beam, t_end = 0.5, 0.0123
     f, _ = _two_beam_field(n_cells=120, model=model, u_beam=u_beam)
     cfg = _cfg(scheme=scheme, model=model, n_moments=f.n_vars, eps=1e-3,
@@ -183,15 +215,22 @@ def test_cpi_with_full_width_equals_pi():
         np.testing.assert_array_equal(a.data, b.data)
 
 
-@pytest.mark.parametrize("scheme", ["mmhme", "cpi"])
-def test_step_seam_continuity(scheme):
-    # t_end just above/below an exact multiple of dt_macro: the remainder
-    # policy keeps the final state continuous across the seam
+_SEAMS = ((1e-4, 0.02, 1e-9), (1e-3, 0.02, 1e-12), (1e-3, 0.01025, 1e-12))
+
+
+@pytest.mark.parametrize("scheme,eps,t_end,offset", [
+    pytest.param(s, *c, id=s if c == _SEAMS[0] else f"{s}-{c[0]:g}-{c[1]:g}")
+    for s in ("mmhme", "mmhsm", "cpi") for c in _SEAMS])
+def test_step_seam_continuity(scheme, eps, t_end, offset):
+    # t_end just above/below an exact multiple of dt_macro, or of dt_micro
+    # in a tail (0.01025 = 20.5 macro steps): no step covers the absorbed
+    # remainder, so the final state is continuous across the seam
+    model = "hsm" if scheme == "mmhsm" else "hme"
     n_macro = 10 if scheme == "cpi" else None
-    f, _ = _two_beam_field(n_cells=100)
+    f, _ = _two_beam_field(n_cells=100, model=model)
     outs = []
-    for t_end in (0.02 - 1e-9, 0.02 + 1e-9):
-        cfg = _cfg(scheme=scheme, n_macro=n_macro, eps=1e-4, t_end=t_end)
+    for end in (t_end - offset, t_end + offset):
+        cfg = _cfg(scheme=scheme, model=model, n_macro=n_macro, eps=eps, t_end=end)
         outs.append(run(f, cfg)[-1].data)
     assert np.max(np.abs(outs[0] - outs[1])) < 1e-6
 
@@ -282,7 +321,7 @@ def _reference_run(f, cfg):
 
     def euler(f, dt_total):
         remaining = dt_total
-        while remaining > dt_total * 1e-12:
+        while remaining > r.absorbed:
             step = min(remaining, cfl_timestep(f, r.euler, cfg.cfl))
             f = spatial_update(f, r.euler, step, order)
             remaining -= step
@@ -291,7 +330,8 @@ def _reference_run(f, cfg):
     def macro_step(f, dt_total):
         t_start = f.time
         f, prev = micro(f, r.dt_micro, r.k)
-        tau = max(dt_total - r.k * r.dt_micro, 0.0)
+        tau = dt_total - r.k * r.dt_micro
+        tau = tau if tau > r.absorbed else 0.0
         if r.extrapolate:
             macro = pi_extrapolate(f.data[:, :l], prev.data[:, :l], r.dt_micro,
                                    r.k * r.dt_micro + tau, r.k)
@@ -310,37 +350,27 @@ def _reference_run(f, cfg):
             new[:, :l] = macro
         return Field(f.grid, new, t_start + dt_total)
 
-    def step(f, dt):
-        if r.macro:
-            return macro_step(f, dt)
-        return euler(f, dt) if cfg.scheme == "euler" else micro(f, dt, 1)[0]
+    def tail(f, dt_total):
+        t_end, n = f.time + dt_total, 0
+        while (rest := dt_total - n * r.dt_micro) > r.absorbed:
+            f = micro(f, min(rest, r.dt_micro), 1)[0]
+            n += 1
+        return Field(f.grid, f.data, t_end)
 
-    def fill(f, rem):
-        if cfg.scheme in ("euler", "micro-split"):
-            return step(f, rem)
-        n_full = int(math.floor(rem / r.dt_micro * (1.0 + 1e-12)))
-        f = micro(f, r.dt_micro, n_full)[0]
-        rest = rem - n_full * r.dt_micro
-        return micro(f, rest, 1)[0] if rest > r.dt_micro * 1e-9 else f
+    def step(f, dt):
+        if cfg.scheme == "euler":
+            return euler(f, dt)
+        if not r.macro:
+            return micro(f, dt, 1)[0]
+        return macro_step(f, dt) if dt > r.k * r.dt_micro - r.absorbed else tail(f, dt)
 
     snaps, n_steps = [f.copy()], 0
     targets = [f.time + cfg.t_end * i / cfg.n_snapshots for i in range(1, cfg.n_snapshots + 1)]
     targets[-1] = f.time + cfg.t_end
     for target in targets:
-        while True:
-            rem = target - f.time
-            if rem <= r.pace * 1e-6:
-                break
-            if rem >= r.pace * (1.0 - 1e-12):
-                f = step(f, rem if rem <= r.pace * (1.0 + 1e-3) else r.pace)
-                n_steps += 1
-                continue
-            if r.macro and rem > r.k * r.dt_micro * (1.0 + 1e-12):
-                f = step(f, rem)
-            else:
-                f = fill(f, rem)
-            n_steps += 1  # a fill is one reported step too
-            break
+        while (rem := target - f.time) > r.absorbed:
+            f = step(f, rem if rem <= r.pace * (1.0 + 1e-3) else r.pace)
+            n_steps += 1
         f.time = target
         snaps.append(f.copy())
     return snaps, n_steps
@@ -352,8 +382,8 @@ def _reference_run(f, cfg):
     (s, {"mmhsm": "hsm", "euler": "euler"}.get(s, "hme"), None) for s in ALL_SCHEMES
 ] + [("pi", "hsm", None), ("cpi", "hme", 5), ("cpi", "hsm", 5)])
 def test_buffer_loop_matches_single_step_composition(scheme, model, n_macro, order, eps):
-    # 24.6 macro steps: full steps, a shrunk last macro step or a sub-pace
-    # fill; at eps = 1e-4 the mm schemes also run the Euler leftover
+    # 24.6 macro steps: full steps, a shrunk last macro step or a tail; at
+    # eps = 1e-4 the mm schemes also run the Euler leftover
     f, _ = _two_beam_field(n_cells=120, model=model)
     cfg = _cfg(scheme=scheme, model=model, n_moments=f.n_vars, eps=eps, order=order,
                t_end=0.0123, n_snapshots=3, n_macro=n_macro)
@@ -461,9 +491,9 @@ def test_cpi_checks_the_extrapolated_rows_before_matching(monkeypatch):
 
 
 def test_step_that_holds_its_micro_steps_up_to_rounding_completes():
-    # t_end falls 4.5e-16 short of K dt_micro = 2000 * 2.5e-7, inside the
-    # relative 1e-12 by which step() takes it as one macro step; the step's
-    # leftover is then none, as in the reference
+    # t_end falls 4.5e-16 short of K dt_micro = 2000 * 2.5e-7, within the
+    # absorbed remainder by which step() takes it as one macro step; the
+    # step's leftover is then none, as in the reference
     cfg = TwoBeamConfig(scheme="mmhme", n_cells=20, micro_steps=2000,
                         t_end=0.0004999999999995501)
     f = two_beam_initial(cfg)[0]
@@ -473,6 +503,19 @@ def test_step_that_holds_its_micro_steps_up_to_rounding_completes():
     assert [s.time for s in snaps] == [s.time for s in ref]
     for a, b in zip(snaps, ref):
         np.testing.assert_array_equal(a.data, b.data)
+
+
+@pytest.mark.parametrize("scheme", ["mmhme", "mmhsm", "pi", "cpi"])
+def test_end_time_an_ulp_past_a_pace_multiple_gives_the_same_bits(scheme):
+    # 9 * 5e-4 is one ulp above 0.0045: the last step's leftover past its
+    # micro steps is absorbed, so no Euler substep or extrapolation covers it
+    assert 9 * 5e-4 > 0.0045
+    model = "hsm" if scheme == "mmhsm" else "hme"
+    n_macro = 10 if scheme == "pi" else None
+    f, _ = _two_beam_field(n_cells=100, model=model)
+    a, b = (run(f, _cfg(scheme=scheme, model=model, n_macro=n_macro, eps=1e-3,
+                        t_end=t_end))[-1].data for t_end in (9 * 5e-4, 0.0045))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_failed_fixed_basis_relaxation_names_cell_time_and_phase(monkeypatch):
@@ -568,17 +611,22 @@ def test_explicit_dt_micro_wins_except_for_euler(scheme):
 
 
 def test_matching_bound_in_the_loop_names_cell_time_and_phase(monkeypatch):
-    # a macro theta below half the prior's in cell 37 crosses the bound
-    def squeeze_theta(w, macro):
-        macro = macro.copy()
-        macro[2, 37] = 0.4 * w[2, 37]
-        return transform_state_slots(w, macro)
+    # at eps = 1e-4 the mm step runs an Euler leftover; it ends with the
+    # macro theta of cell 37 below half the prior's. The write comes from
+    # outside the buffer, so its span is found afresh
+    euler_advance = schemes._Runner._euler_advance
 
-    monkeypatch.setattr(schemes, "transform_state_slots", squeeze_theta)
+    def squeeze_theta(self, buf, t, dt_total):
+        t = euler_advance(self, buf, t, dt_total)
+        buf.w[2, 37] = 0.4 * self.buf.w[2, 37]
+        buf.span = None
+        return t
+
+    monkeypatch.setattr(schemes._Runner, "_euler_advance", squeeze_theta)
     f, _ = _two_beam_field(n_cells=100)
     with pytest.raises(DomainError, match=r"in cell 37: theta_prior=1, "
                        r"theta_new=0\.4 at t=0\.0005 \(match\)"):
-        run(f, _cfg(scheme="mmhme", t_end=0.01))
+        run(f, _cfg(scheme="mmhme", eps=1e-4, t_end=0.01))
 
 
 # ------------------------------------------------------- order of accuracy

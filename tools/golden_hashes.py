@@ -14,8 +14,10 @@ so a copy placed in another checkout hashes that checkout's code. Prints one
 - the full state (every moment of every cell, and the time stamp) of each
   snapshot of library runs on the branches those CSVs miss: CPI at L = 5 on
   the HME and HSM models, PI/CPI on HSM, a t_end that is not a multiple of
-  the macro step, M = 40 at order 2, eps = 1e-3 (the micro steps fill the
-  macro step, so no Euler leftover runs) and eps = inf.
+  the macro step (its tail, too short for the K micro steps, runs as micro
+  steps; at K = 4 that is two full ones and a rest), M = 40 at order 2,
+  eps = 1e-3 (the micro steps fill the macro step, so no Euler leftover
+  runs) and eps = inf.
 """
 
 import hashlib
@@ -44,7 +46,9 @@ LIBRARY_CASES = (
     + [(f"{s}-subpace", dict(_SMALL, scheme=s, n_cells=120, eps=1e-3, t_end=0.0123))
        for s in SCHEMES]
     + [("cpi-hsm-L5-subpace", dict(scheme="cpi", model="hsm", n_macro=5, n_cells=120,
-                                   eps=1e-3, t_end=0.0123))]
+                                   eps=1e-3, t_end=0.0123)),
+       ("mmhme-K4-subpace", dict(scheme="mmhme", micro_steps=4, n_cells=120, eps=1e-3,
+                                 t_end=0.0123))]
     + [(f"{s}-eps1e-3", dict(_SMALL, scheme=s, eps=1e-3)) for s in SCHEMES]
     + [(f"{s}-epsinf", dict(_SMALL, scheme=s, eps=float("inf"))) for s in SCHEMES]
 )
