@@ -12,6 +12,7 @@ from .basis import hme_state_to_expansion, weighted_l2_distance
 from .coupling import transform_state_slots
 from .errors import ConfigError
 from .grid import Field, Grid1D
+from .quadrature import DEFAULT_ORDER
 from .schemes import SimConfig, run, run_with_reports, scheme_model
 
 
@@ -88,6 +89,10 @@ def matching_study(n_moments: int = 8, p_scale: float = 1.2, l_values=None):
     """
     if n_moments < 4:
         raise ConfigError(f"study needs n_moments >= 4, got {n_moments}")
+    if n_moments > DEFAULT_ORDER:
+        # the Gram integrands have degree 2 n_moments - 2, and the quadrature
+        # rule of order DEFAULT_ORDER is exact to degree 2 DEFAULT_ORDER - 1
+        raise ConfigError(f"study needs n_moments <= {DEFAULT_ORDER}, got {n_moments}")
     if l_values is None:
         l_values = range(3, n_moments)
     prior = np.zeros(n_moments)

@@ -51,6 +51,8 @@ class Grid1D:
             raise ConfigError(f"need at least 2 cells, got {self.n_cells}")
         if not self.x_max > self.x_min:
             raise ConfigError(f"empty domain [{self.x_min}, {self.x_max}]")
+        if not np.isfinite(self.x_max - self.x_min):
+            raise ConfigError(f"domain [{self.x_min}, {self.x_max}] has no finite width")
 
     @property
     def dx(self) -> float:

@@ -100,6 +100,24 @@ def test_two_beam_writes_one_csv_per_snapshot(tmp_path, capsys):
         np.testing.assert_array_equal(data[:, 5], snap.q)
 
 
+@pytest.mark.parametrize("flags", [["--xmax", "inf"], ["--xmin=-1e308", "--xmax=1e308"]])
+def test_domain_with_no_finite_width_exits_two(flags, tmp_path, capsys):
+    # an infinite end or an overflowing width would put x = inf on every row
+    rc = parse_and_dispatch(["two-beam", "--cells", "20", "--t-end", "0.001", *flags,
+                             "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    assert "has no finite width" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_matching_study_past_its_quadrature_order_exits_two(tmp_path, capsys):
+    rc = parse_and_dispatch(["matching-study", "--moments", "200",
+                             "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert "n_moments <= 60" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_pi_macro_width_is_enforced(tmp_path, capsys):
     rc = parse_and_dispatch([
         "two-beam", "--scheme", "pi", "--macro", "3", "--cells", "20",

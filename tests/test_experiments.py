@@ -17,6 +17,7 @@ from mmbgk.experiments import (
     two_beam,
     two_beam_initial,
 )
+from mmbgk.quadrature import DEFAULT_ORDER
 
 
 def test_default_configuration():
@@ -88,6 +89,13 @@ def test_matching_study_validation():
         matching_study(l_values=[2])
     with pytest.raises(ConfigError, match="out of range"):
         matching_study(l_values=[9])
+    # the quadrature is exact for the Gram integrands (degree 2 M - 2) only
+    # up to M = DEFAULT_ORDER; at 171 sqrt(a!) overflows
+    for m in (DEFAULT_ORDER + 1, 200):
+        with pytest.raises(ConfigError, match=rf"n_moments <= {DEFAULT_ORDER}.*got {m}$"):
+            matching_study(n_moments=m)
+    assert matching_study(n_moments=DEFAULT_ORDER, l_values=[DEFAULT_ORDER]) == [
+        (DEFAULT_ORDER, 0.0)]
 
 
 def test_bimodal_state_literal():

@@ -52,6 +52,14 @@ def test_grid_layout():
         Grid1D(1.0, 1.0, 10)
 
 
+@pytest.mark.parametrize("x_min,x_max", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)])
+def test_grid_rejects_a_domain_with_no_finite_width(x_min, x_max):
+    # an infinite end, or one whose width overflows, would make dx and every
+    # cell centre inf
+    with pytest.raises(ConfigError, match=r"has no finite width"):
+        Grid1D(x_min, x_max, 20)
+
+
 def test_field_shape_validation():
     g = Grid1D(0.0, 1.0, 4)
     f = Field(g, np.ones((4, 3)))
@@ -271,16 +279,24 @@ _SPAN_CELLS = 30
 def _level_pieces(kind, m, where):
     """A piecewise-level state of _SPAN_CELLS cells: one state, with a second
     one on cell 0 ("first": the jump at the first interface), on the last
-    cell ("last"), on cells 12-17 ("interior") or nowhere ("none")."""
+    cell ("last"), on cells 12-17 ("interior", and "negzero", whose first
+    state holds -0.0 entries) or nowhere ("none"); or a ramp on cells 0-9
+    that decreases into the level rest ("ramp": at order 2 cell 10's slope
+    is minmod(-x, +0) = -0)."""
     model = make_model(kind, m)
-    base = model.equilibrium(1.0, 0.2, 1.0)[0]
+    base = model.equilibrium(1.0, -0.0 if where == "negzero" else 0.2, 1.0)[0]
     other = model.equilibrium(1.3, -0.1, 0.8)[0]
     if kind == "hme":
         base[3:] = 0.01 * np.arange(1.0, m - 2)
         other[3:] = -0.02
+        if where == "negzero":
+            base[3::2] = -0.0
     data = np.tile(base, (_SPAN_CELLS, 1))
-    data[{"first": slice(0, 1), "last": slice(-1, None), "interior": slice(12, 18),
-          "none": slice(0, 0)}[where]] = other
+    if where == "ramp":
+        data[:10] *= 1.0 + 0.05 * np.arange(10.0, 0.0, -1.0)[:, None]
+    else:
+        data[{"first": slice(0, 1), "last": slice(-1, None), "interior": slice(12, 18),
+              "negzero": slice(12, 18), "none": slice(0, 0)}[where]] = other
     return model, data
 
 
@@ -293,6 +309,8 @@ def _bits(buf):
     ("last", {1: (28, 30), 2: (27, 30)}),
     ("interior", {1: (11, 19), 2: (10, 20)}),
     ("none", {1: (30, 0), 2: (30, 0)}),
+    ("ramp", {1: (0, 11), 2: (0, 12)}),
+    ("negzero", {1: (11, 19), 2: (10, 20)}),
 ])
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("kind,m", [("hme", 10), ("hsm", 6), ("euler", 3)])

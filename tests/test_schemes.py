@@ -426,6 +426,23 @@ def test_carried_spans_give_the_bits_of_fresh_and_full_grid_spans(monkeypatch):
                 np.testing.assert_array_equal(sa, sb, err_msg=str(kw))
 
 
+@pytest.mark.parametrize("m", [10, 40])
+def test_carried_span_is_the_one_a_fresh_search_finds_at_order_1(m, monkeypatch):
+    # at order 1 a transport widens the span by one cell per side, the
+    # stencil half-width; on the two-beam fronts each edge cell it updates
+    # moves, so the carried span is exactly the fresh one
+    transport, spans = MomentBuffer.transport, []
+
+    def recorded(buf, *args):
+        transport(buf, *args)
+        spans.append((buf.span, buf._jump_span()))
+
+    monkeypatch.setattr(MomentBuffer, "transport", recorded)
+    cfg = TwoBeamConfig(scheme="micro", order=1, n_moments=m, n_cells=200, t_end=0.02)
+    run(two_beam_initial(cfg)[0], cfg)
+    assert spans and [a for a, _ in spans] == [b for _, b in spans]
+
+
 def test_cfl_violation_in_the_loop_names_cell_and_time():
     f, _ = _two_beam_field(n_cells=100)
     with pytest.raises(StepError, match=r"CFL violation in cell \d+ at t=0 \(transport\)"):
