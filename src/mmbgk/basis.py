@@ -161,11 +161,11 @@ def hsm_heat_flux(f):
 
 
 def check_rho_theta(rho, theta, what: str):
-    """The package's one admissibility test: StateError(what, i), which
-    reads "{what} <= 0 in cell {i}", for the first flat index i where
+    """The package's one admissibility test: StateError(what + " <= 0", i),
+    which reads "{what} <= 0 in cell {i}", for the first flat index i where
     rho > 0 and theta > 0 fails. NaN fails: a NaN minimum is not > 0."""
     if not (ok := np.minimum(rho, theta) > 0.0).all():
-        raise StateError(what, int(np.argmin(ok)))
+        raise StateError(f"{what} <= 0", int(np.argmin(ok)))
 
 
 def maxwellian_coefficients(rho, u, theta, n_moments: int) -> np.ndarray:

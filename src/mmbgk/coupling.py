@@ -9,22 +9,30 @@ match_hsm_states is the fixed-basis form, a carry-over of the free
 coefficients.
 
 Batches are moment-major, the layout of the run's grid.MomentBuffer: row a
-of a prior (M, n) or a macro state (L, n) holds variable a of every cell,
-so the runner passes its buffer's rows and writes back only the rows that
-change.
+of a prior (M, n) or a macro state (L, n) holds variable a of every cell.
+Each column is matched alone, and its bits do not depend on the batch it
+sits in, so the runner passes only the columns [lo, hi) that the macro
+advance can have moved, with lo for the errors to name the grid cell.
+Outside them the macro rows equal the prior's leading rows bit for bit,
+and there the match is the identity but for the sign of a zero: with
+u and theta unchanged, h = (1, +0, +0, ...), and a row b >= L summed from
++0 turns a prior -0.0 into +0.0. The runner gives those columns w[L:] +=
+0.0, which is exactly that.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DomainError
 
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_weight_ratio(theta_new, theta_prior):
-    """DomainError naming the first cell outside the matching bound.
+def _check_weight_ratio(theta_new, theta_prior, first: int = 0):
+    """DomainError naming the first cell outside the matching bound, entry j
+    being cell first + j.
 
     int phi*_i phi+_j (omega+)^-1 dc needs the prior Gaussian to decay
     faster than sqrt(omega+): theta* < 2 theta+. NaN fails: a NaN
@@ -34,7 +42,8 @@ def _check_weight_ratio(theta_new, theta_prior):
         bad = int(np.argmin(ok))
         raise DomainError(
             "matching outside the realizability bound theta_prior < 2*theta_new "
-            f"in cell {bad}: theta_prior={theta_prior[bad]:g}, theta_new={theta_new[bad]:g}"
+            f"in cell {first + bad}: theta_prior={theta_prior[bad]:g}, "
+            f"theta_new={theta_new[bad]:g}"
         )
 
 
@@ -51,7 +60,8 @@ def pi_extrapolate(w_k, w_km1, dt_micro: float, dt_macro: float, k: int):
     return w_k + (dt_macro - k * dt_micro) * (w_k - w_km1) / dt_micro
 
 
-def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray) -> np.ndarray:
+def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray,
+                          first: int = 0) -> np.ndarray:
     """Batched matching in adaptive state variables.
 
     w_prior: (M, n) states (rho, u, theta, f_3, ...) as rows; macro_new:
@@ -59,28 +69,40 @@ def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray) -> np.ndar
     whose rows below L carry macro_new and whose rows >= L carry the
     re-expanded prior. In state scaling the connection collapses to the
     convolution f+_b = sum_k h_k f*_{b-k} with h_0 = 1,
-    m h_m = (u* - u+) h_{m-1} + (theta* - theta+) h_{m-2},
-    which is the identity bitwise when the parameters coincide. Each row
-    b >= L is one dot product over k = 0..b, summed in k order from +0.
+    m h_m = (u* - u+) h_{m-1} + (theta* - theta+) h_{m-2}.
+    Each row b >= L is a dot product over k = 0..M-1, summed in k order
+    from +0, with f*_{b-k} = 0 for k > b: one contraction over a zero-padded
+    Toeplitz view of fbar. For finite h those zero terms leave the sum's
+    bits as they are, so it equals the sum over k = 0..b. When the
+    parameters coincide the match is the identity bitwise, except that a
+    -0.0 in a row >= L comes out +0.0. Column j is grid cell first + j,
+    which a matching-bound DomainError names.
     """
     m, n = w_prior.shape
     l = macro_new.shape[0]
-    _check_weight_ratio(macro_new[2], w_prior[2])
+    _check_weight_ratio(macro_new[2], w_prior[2], first)
     du = w_prior[1] - macro_new[1]
     dth = w_prior[2] - macro_new[2]
-    h = np.empty((m, n))
+    # a row stride of two or more elements keeps einsum off its contiguous
+    # reduction kernel, which would sum a one-column batch in another order
+    width = max(n, 2)
+    h = np.empty((m, width))[:, :n]
     h[0], h[1] = 1.0, du
     term = np.empty(n)
     for k in range(2, m):
         np.multiply(du, h[k - 1], out=h[k])
         h[k] += np.multiply(dth, h[k - 2], out=term)
         h[k] /= k
-    fbar = w_prior.copy()
-    fbar[1:3] = 0.0
+    # r[j] = fbar_{M-1-j}, then M - 1 zero rows: the Toeplitz view
+    # t[s, :, k] = r[s + k] holds fbar_{b-k} at k for b = M - 1 - s
+    r = np.zeros((2 * m - 1, width))[:, :n]
+    r[:m] = w_prior[::-1]
+    r[m - 3:m - 1] = 0.0  # fbar_1 = fbar_2 = 0
+    rows, cols = r.strides
+    t = as_strided(r, (m - l, n, m), (rows, cols, rows), writeable=False)
     out = np.empty((m, n))
     out[:l] = macro_new
-    for b in range(l, m):
-        np.einsum("kn,kn->n", h[:b + 1], fbar[b::-1], out=out[b])
+    np.einsum("snk,kn->sn", t, h, out=out[:l - 1:-1])
     return out
 
 

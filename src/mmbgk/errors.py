@@ -15,15 +15,16 @@ class DomainError(ValueError):
 
 
 class StateError(ValueError):
-    """Physically inadmissible state (rho <= 0, theta <= 0, ...).
+    """Physically inadmissible state (non-finite, rho <= 0, theta <= 0, ...).
 
-    StateError(what, cell) reads "{what} <= 0 in cell {cell}" and keeps
-    both, so a caller that knows where the checked batch starts on the
-    grid can name the grid cell.
+    StateError(what, cell) reads "{what} in cell {cell}", what naming the
+    failed test ("rho or theta <= 0", "non-finite state"), and keeps both,
+    so a caller that knows where the checked batch starts on the grid can
+    name the grid cell.
     """
 
     def __init__(self, what: str, cell: int = None):
-        super().__init__(what if cell is None else f"{what} <= 0 in cell {cell}")
+        super().__init__(what if cell is None else f"{what} in cell {cell}")
         self.what, self.cell = what, cell
 
 

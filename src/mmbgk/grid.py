@@ -91,6 +91,15 @@ def constant_field(grid: Grid1D, state, time: float = 0.0) -> Field:
     return Field(grid, np.tile(state, (grid.n_cells, 1)), time)
 
 
+def check_rows(model, rows, first: int, t: float, phase: str):
+    """model.validate of moment-major rows whose column j is grid cell
+    first + j; the StateError names the grid cell, the time t and the phase."""
+    try:
+        model.validate(rows.T)
+    except StateError as exc:
+        raise at_time(StateError(exc.what, first + exc.cell), t, phase) from exc
+
+
 class MomentBuffer:
     """The cells of one model on one grid, moment-major with ghosts, advanced
     in place.
@@ -158,13 +167,11 @@ class MomentBuffer:
         """Cell-major (n, M) C-ordered copy of the cells."""
         return np.ascontiguousarray(self.w.T)
 
-    def check(self, t: float, phase: str):
-        """The model's state check (finite, rho > 0, theta > 0) on the cells;
-        the StateError names the cell, the time and the phase."""
-        try:
-            self.model.validate(self.w.T)
-        except StateError as exc:
-            raise at_time(exc, t, phase) from exc
+    def check(self, t: float, phase: str, lo: int = 0, hi: int = None):
+        """The model's state check (finite, rho > 0, theta > 0) on the cells
+        [lo, hi), all of them by default; the StateError names the grid
+        cell, the time and the phase."""
+        check_rows(self.model, self.w[:, lo:hi], lo, t, phase)
 
     def max_speed(self) -> float:
         """Largest wave speed of the cells."""

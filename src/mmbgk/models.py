@@ -100,12 +100,11 @@ def _euler_columns(c, rho, u, theta):
 
 
 def _validate(self, w):
-    """StateError naming the first cell of the states w that is non-finite,
-    else the first whose primitives fail check_rho_theta."""
+    """StateError(what, cell) for the first cell of the states w that is
+    non-finite, else the first whose primitives fail check_rho_theta."""
     w = np.atleast_2d(w)
     if not np.isfinite(w).all():
-        bad = int(np.argwhere(~np.isfinite(w).all(axis=1))[0, 0])
-        raise StateError(f"non-finite state in cell {bad}")
+        raise StateError("non-finite state", int(np.argmin(np.isfinite(w).all(axis=1))))
     rho, _, theta = self.primitives(w)
     check_rho_theta(rho, theta, self._checked)
 

@@ -46,14 +46,38 @@ more slowly, since an update below half an ulp leaves a cell's bits as
 they were; one search per macro step keeps the span near them, however
 many transports the step took (an Euler leftover adds one). The collision
 needs no hand-off: it maps each cell alone, so level neighbours stay
-level. The runner checks its input once, in __init__, as it loads the
-field into the buffer and before anything reads it: the model's state check
-(finite, rho > 0, theta > 0) in phase "input", so an invalid field raises
-even with t_end = 0. After that, each step's result is checked once: after
-the source for a micro step, after the transport for an Euler substep,
-after the hand-back of the macro state for a macro step; cpi on the
-adaptive model checks its extrapolated rows before matching them too. Every
-check names the cell, the time and the phase, and so does a transport whose
+level.
+
+The adaptive match (mmhme, and cpi on the adaptive model with L < M)
+covers only the columns [lo, hi) that the macro advance can have moved.
+For mmhme that is the Euler buffer's span after the leftover: outside it
+no Euler transport wrote, so the macro rows are the restriction bit for bit
+(a write from outside the runner leaves the span None, and then [lo, hi)
+is the whole grid). For cpi it runs from the first to the last column where
+the extrapolated rows differ from the buffer's in any bit. Outside [lo, hi)
+the macro rows thus equal the buffer's leading rows, where the match is the
+identity but for the sign of a zero (see coupling): the runner adds 0.0 to
+those columns' rows >= L, which turns a -0.0 into +0.0 as the match would.
+The other hand-backs cover the whole grid: mmhsm's match rebuilds rows 0-2
+from the primitives, which need not give back their bits, and pi's write
+of the extrapolated rows costs less than the search for the moved columns.
+With no leftover (tau = 0, e.g. eps = 1e-3) the mmhme match is such an
+identity everywhere, yet it still runs over the micro span: a branch that
+skipped it would cut only the steps that run no leftover, so the mm step's
+cost would vary more with eps; that waits until the leftover costs the same
+at every eps.
+
+The runner checks its input once, in __init__, as it loads the field into
+the buffer and before anything reads it: the model's state check (finite,
+rho > 0, theta > 0) in phase "input", so an invalid field raises even with
+t_end = 0. After that, each step's result is checked once: after the
+source for a micro step, after the transport for an Euler substep, after
+the hand-back of the macro state for a macro step; cpi on the adaptive
+model checks its extrapolated rows before matching them too. Around the
+adaptive match, the matching bound and those last two checks read only
+[lo, hi): every other cell holds the bits that the last micro step's check
+passed, up to the sign of a zero. Every check names the grid cell (a check
+of [lo, hi) adds lo), the time and the phase, and so does a transport whose
 flux operator rejects an order-2 predicted state. Step inputs are checked
 in __init__ too: t_end, dt_macro and a dt_micro the scheme reads must be
 finite, and a snapshot interval must exceed the absorbed remainder, so no
@@ -64,13 +88,15 @@ from dataclasses import dataclass
 import math
 import time
 
+import numpy as np
+
 from .coupling import match_hsm_states, pi_extrapolate, transform_state_slots
 from .errors import ConfigError, DomainError, StateError, at_time
 # spatial_update, apply_source, apply_source_exact and cfl_timestep are not
 # called here; they stay module globals because perfbench's tracer patches
 # them by name
 from .grid import (  # noqa: F401
-    Field, MomentBuffer, apply_source, apply_source_exact, cfl_limit, cfl_timestep,
+    Field, MomentBuffer, apply_source, apply_source_exact, cfl_limit, cfl_timestep, check_rows,
     spatial_update,
 )
 from .models import EulerModel, decay_factor, make_model
@@ -103,6 +129,15 @@ class StepReport:
     t_restrict: float = 0.0
     t_macro: float = 0.0
     t_match: float = 0.0
+
+
+def _moved_columns(new, old):
+    """[lo, hi) bounding the columns where the rows new and old differ in
+    any bit, compared as int64 as MomentBuffer._jump_span does; (0, 0) if
+    none."""
+    moved = (new.view(np.int64) != old.view(np.int64)).any(axis=0)
+    lo = int(moved.argmax())
+    return (lo, moved.size - int(moved[::-1].argmax())) if moved[lo] else (0, 0)
 
 
 def scheme_model(cfg: SimConfig):
@@ -246,8 +281,10 @@ class _Runner:
         """K micro steps, macro advance of the leading n_macro variables, match.
 
         Everything stays moment-major: the macro state is L rows (the
-        extrapolated ones, or the Euler buffer's), and only the buffer rows
-        that change are written back before the check.
+        extrapolated ones, or the Euler buffer's). The adaptive match and
+        the checks after it cover the columns [lo, hi) the macro advance can
+        have moved (see the module docstring), and only the buffer rows that
+        change are written back.
         """
         l, w, k, dt = self.n_macro, self.buf.w, self.k, self.dt_micro
         t0 = time.perf_counter()
@@ -268,24 +305,31 @@ class _Runner:
             if tau > 0.0:
                 self._euler_advance(self.euler_buf, t + k * dt, tau)
         t3 = time.perf_counter()
+        t_next = t + dt_total
+        lo, hi = 0, w.shape[1]
         if self.model.kind == "hme" and l < self.model.n_vars:
-            if self.extrapolate:  # match only a valid extrapolated state
-                try:
-                    self.model.validate(macro.T)
-                except StateError as exc:
-                    raise at_time(exc, t + dt_total, "extrapolate") from exc
+            # the columns [lo, hi) the macro advance can have moved
+            if self.extrapolate:
+                lo, hi = _moved_columns(macro, w[:l])
+                # match only a valid extrapolated state
+                check_rows(self.model, macro[:, lo:hi], lo, t_next, "extrapolate")
+            elif self.euler_buf.span is not None:  # None: a write from outside
+                lo, hi = self.euler_buf.span
             try:
-                w[...] = transform_state_slots(w, macro)
+                w[:, lo:hi] = transform_state_slots(w[:, lo:hi], macro[:, lo:hi], lo)
             except DomainError as exc:
-                raise at_time(exc, t + dt_total, "match") from exc
+                raise at_time(exc, t_next, "match") from exc
+            # the match off [lo, hi): a -0.0 in a row >= L becomes +0.0
+            w[l:, :lo] += 0.0
+            w[l:, max(lo, hi):] += 0.0
         elif self.extrapolate:  # fixed basis or L = M: the rest carries over
             w[:l] = macro
         else:  # fixed basis: the free rows carry over in place
             w[:3] = match_hsm_states(w[:3], macro)
         self.buf.span = None
-        self.buf.check(t + dt_total, "extrapolate" if self.extrapolate else "match")
+        self.buf.check(t_next, "extrapolate" if self.extrapolate else "match", lo, hi)
         t4 = time.perf_counter()
-        return t + dt_total, StepReport(dt_total, k, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
+        return t_next, StepReport(dt_total, k, t1 - t0, t2 - t1, t3 - t2, t4 - t3)
 
     def step(self, t: float, dt_total: float):
         """One advance of dt_total from time t on the buffer; returns the time

@@ -240,6 +240,49 @@ def test_batched_matching_identity():
     np.testing.assert_array_equal(transform_state_slots(w.T, w[:, :3].T.copy()).T, w)
 
 
+def test_batched_matching_identity_turns_negative_zeros_positive():
+    # with u and theta unchanged the match is the identity, except that a
+    # row b >= L is summed from +0, so a prior -0.0 there comes out +0.0;
+    # rows below L carry the macro state, -0.0 included
+    w = np.tile([1.0, -0.0, 1.0, -0.0, 0.25, -0.0, -1e-300], (3, 1))
+    w[1, 4] = -0.0
+    for l in (3, 5):
+        out = transform_state_slots(w.T, w[:, :l].T.copy()).T
+        want = w.copy()
+        want[:, l:] += 0.0  # -0.0 + 0.0 = +0.0, any other x + 0.0 = x
+        np.testing.assert_array_equal(out.view(np.int64), want.view(np.int64))
+        assert np.signbit(out[:, :l][w[:, :l] == 0.0]).all()
+        assert not np.signbit(out[:, l:][w[:, l:] == 0.0]).any()
+
+
+@pytest.mark.parametrize("m,l", [(4, 3), (10, 3), (10, 6), (40, 3), (40, 39), (6, 6)])
+def test_batched_matching_column_bits_do_not_depend_on_the_batch(m, l):
+    # the runner matches a window of columns; each column, alone, in a
+    # window at any offset or in the whole batch, must get the same bits
+    rng = np.random.default_rng(11 + m + l)
+    n = 24
+    w = np.zeros((m, n))
+    w[0] = rng.uniform(0.5, 2.0, size=n)
+    w[1] = rng.uniform(-0.5, 0.5, size=n)
+    w[2] = rng.uniform(0.8, 1.5, size=n)
+    w[3:] = 0.1 * rng.standard_normal((m - 3, n))
+    macro = w[:l] * rng.uniform(0.9, 1.1, size=(l, n))
+    full = transform_state_slots(w, macro).view(np.int64)
+    for lo in range(n):
+        for hi in (lo, lo + 1, lo + 2, min(lo + 7, n)):
+            part = transform_state_slots(w[:, lo:hi], macro[:, lo:hi], lo)
+            np.testing.assert_array_equal(part.view(np.int64), full[:, lo:hi])
+
+
+def test_batched_matching_domain_bound_names_the_cell_after_first():
+    # column j is grid cell first + j
+    w = np.tile([1.0, 0.0, 1.0, 0.1, 0.0, 0.0], (6, 1))
+    macro = w[:, :3].copy()
+    w[3, 2] = 3.0
+    with pytest.raises(DomainError, match=r"in cell 43: theta_prior=3, theta_new=1$"):
+        transform_state_slots(w.T, macro.T, 40)
+
+
 def test_batched_matching_domain_bound():
     w = np.array([[1.0, 0.0, 1.0, 0.1, 0.0, 0.0]])
     with pytest.raises(DomainError):

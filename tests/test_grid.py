@@ -372,7 +372,7 @@ def test_rejected_transport_state_names_its_grid_cell(order, jump, call, col, ce
     def rejecting(self, wt):
         widths.append(wt.shape[1])
         if len(widths) == call + 1:
-            raise StateError("euler rho or theta", col)
+            raise StateError("euler rho or theta <= 0", col)
         return real(self, wt)
 
     model = EulerModel()

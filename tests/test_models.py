@@ -467,6 +467,19 @@ def test_validate_names_offending_cell():
         hme.validate(bad)
 
 
+@pytest.mark.parametrize("kind", ["hme", "hsm", "euler"])
+def test_non_finite_state_error_carries_its_cell(kind):
+    # a caller that checks a window of the grid adds the window's first
+    # cell to exc.cell, so the non-finite error must carry it like the
+    # rho/theta one
+    model = make_model(kind, 5) if kind != "euler" else make_model("euler")
+    bad = model.equilibrium(np.ones(6), 0.0, 1.0)
+    bad[4, 1] = math.inf
+    with pytest.raises(StateError, match=r"^non-finite state in cell 4$") as err:
+        model.validate(bad)
+    assert (err.value.what, err.value.cell) == ("non-finite state", 4)
+
+
 def test_make_model_validation():
     with pytest.raises(ConfigError):
         make_model("hme", 3)

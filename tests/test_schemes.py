@@ -646,6 +646,98 @@ def test_matching_bound_in_the_loop_names_cell_time_and_phase(monkeypatch):
         run(f, _cfg(scheme="mmhme", eps=1e-4, t_end=0.01))
 
 
+_SPAN_MATCH_CASES = (
+    [("mmhme", None, o, e) for o in (1, 2) for e in (1e-3, 1e-4, 1e-5)]
+    + [("cpi", l, o, e) for l in (3, 5) for o in (1, 2) for e in (1e-3, 1e-4)])
+
+
+@pytest.mark.parametrize("scheme,n_macro,order,eps", _SPAN_MATCH_CASES)
+def test_span_local_match_equals_the_full_grid_match_bitwise(scheme, n_macro, order, eps,
+                                                             monkeypatch):
+    # the runner matches only the columns the macro advance can have moved;
+    # after every macro step the buffer must hold the bits of
+    # transform_state_slots on the whole grid, from the state after the K
+    # micro steps and the whole macro rows (Euler buffer or extrapolation)
+    micro, macro_step = schemes._Runner._micro, schemes._Runner._macro_step
+    extrapolate, transform = schemes.pi_extrapolate, schemes.transform_state_slots
+    seen, widths = {}, []
+
+    def recorded_micro(self, *args, **kw):
+        out = micro(self, *args, **kw)
+        seen["prior"] = self.buf.w.copy()
+        return out
+
+    def recorded_extrapolate(*args):
+        seen["macro"] = extrapolate(*args)
+        return seen["macro"]
+
+    def recorded_transform(w_prior, macro, first=0):
+        widths.append(w_prior.shape[1])
+        return transform(w_prior, macro, first)
+
+    def compared(self, t, dt_total):
+        out = macro_step(self, t, dt_total)
+        macro = seen["macro"] if self.extrapolate else self.euler_buf.w
+        full = transform(seen["prior"], macro)
+        np.testing.assert_array_equal(self.buf.w.view(np.int64), full.view(np.int64))
+        seen["steps"] = seen.get("steps", 0) + 1
+        return out
+
+    monkeypatch.setattr(schemes._Runner, "_micro", recorded_micro)
+    monkeypatch.setattr(schemes._Runner, "_macro_step", compared)
+    monkeypatch.setattr(schemes, "pi_extrapolate", recorded_extrapolate)
+    monkeypatch.setattr(schemes, "transform_state_slots", recorded_transform)
+    cfg = TwoBeamConfig(scheme=scheme, n_macro=n_macro, order=order, eps=eps, n_cells=120,
+                        t_end=0.02)
+    run(two_beam_initial(cfg)[0], cfg)
+    assert seen["steps"] == len(widths) == 40
+    assert min(widths) < 120
+
+
+def test_non_finite_macro_state_in_the_span_names_its_grid_cell(monkeypatch):
+    # the Euler leftover ends with a NaN u in cell 50, inside the span; the
+    # check after the match reads only the span and names the grid cell
+    euler_advance, spans = schemes._Runner._euler_advance, []
+
+    def nan_u(self, buf, t, dt_total):
+        t = euler_advance(self, buf, t, dt_total)
+        spans.append(buf.span)
+        buf.w[1, 50] = math.nan
+        return t
+
+    monkeypatch.setattr(schemes._Runner, "_euler_advance", nan_u)
+    f, _ = _two_beam_field(n_cells=100)
+    with pytest.raises(StateError, match=r"^non-finite state in cell 50 at t=0\.0005 \(match\)$"):
+        run(f, _cfg(scheme="mmhme", eps=1e-4, t_end=0.01))
+    lo, hi = spans[-1]
+    assert 0 < lo < 50 < hi - 1
+
+
+def test_cpi_matching_bound_in_the_span_names_its_grid_cell(monkeypatch):
+    # cpi extrapolates the theta of cell 50 to 0.4 of the prior's, past the
+    # matching bound; the match reads only the moved columns [lo, hi) and
+    # its error names the grid cell lo + j
+    extrapolate, transform, firsts = schemes.pi_extrapolate, schemes.transform_state_slots, []
+
+    def squeezed(*args):
+        out = extrapolate(*args)
+        out[2, 50] = 0.4 * args[0][2, 50]
+        return out
+
+    def recorded(w_prior, macro, first=0):
+        firsts.append((first, first + w_prior.shape[1]))
+        return transform(w_prior, macro, first)
+
+    monkeypatch.setattr(schemes, "pi_extrapolate", squeezed)
+    monkeypatch.setattr(schemes, "transform_state_slots", recorded)
+    cfg = TwoBeamConfig(scheme="cpi", eps=1e-4, n_cells=100, t_end=0.003)
+    with pytest.raises(DomainError, match=r"in cell 50: theta_prior=[^,]+, theta_new=\S+ "
+                       r"at t=0\.0005 \(match\)$"):
+        run(two_beam_initial(cfg)[0], cfg)
+    lo, hi = firsts[-1]
+    assert 0 < lo < 50 < hi - 1
+
+
 # ------------------------------------------------------- order of accuracy
 
 
