@@ -20,7 +20,7 @@ runs each case `--phase-repeats` times. Per run, a phase's time is its mean
 over the run's macro steps, in ms; the record keeps the minimum and the
 median of those over all runs of a side.
 
-The JSON holds both sides' revisions (the first line of a REVISION file
+The JSON holds both sides' revisions (the text of a REVISION file
 at a checkout's root, which a `git archive` copy needs, else `git describe
 --always --dirty` there), the seeds, thread count, Python and numpy
 versions, CPU model, core count and the two kinds of results. To bench a
