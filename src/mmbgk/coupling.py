@@ -12,7 +12,7 @@ Batches are moment-major, the layout of the run's grid.MomentBuffer: row a
 of a prior (M, n) or a macro state (L, n) holds variable a of every cell.
 Each column is matched alone, and its bits do not depend on the batch it
 sits in, so the runner passes only the columns [lo, hi) that the macro
-advance can have moved, with lo for the errors to name the grid cell.
+advance can have moved, and shifts a DomainError's cell by lo.
 Outside them the macro rows equal the prior's leading rows bit for bit,
 and there the match is the identity but for the sign of a zero: with
 u and theta unchanged, h = (1, +0, +0, ...), and a row b >= L summed from
@@ -30,9 +30,9 @@ from .errors import ConfigError, DomainError
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_weight_ratio(theta_new, theta_prior, first: int = 0):
-    """DomainError naming the first cell outside the matching bound, entry j
-    being cell first + j.
+def _check_weight_ratio(theta_new, theta_prior):
+    """DomainError(what, cell, detail) for the first cell outside the
+    matching bound.
 
     int phi*_i phi+_j (omega+)^-1 dc needs the prior Gaussian to decay
     faster than sqrt(omega+): theta* < 2 theta+. NaN fails: a NaN
@@ -41,9 +41,8 @@ def _check_weight_ratio(theta_new, theta_prior, first: int = 0):
     if not (ok := theta_prior < 2.0 * theta_new).all():
         bad = int(np.argmin(ok))
         raise DomainError(
-            "matching outside the realizability bound theta_prior < 2*theta_new "
-            f"in cell {first + bad}: theta_prior={theta_prior[bad]:g}, "
-            f"theta_new={theta_new[bad]:g}"
+            "matching outside the realizability bound theta_prior < 2*theta_new", bad,
+            f"theta_prior={theta_prior[bad]:g}, theta_new={theta_new[bad]:g}",
         )
 
 
@@ -60,8 +59,7 @@ def pi_extrapolate(w_k, w_km1, dt_micro: float, dt_macro: float, k: int):
     return w_k + (dt_macro - k * dt_micro) * (w_k - w_km1) / dt_micro
 
 
-def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray,
-                          first: int = 0) -> np.ndarray:
+def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray) -> np.ndarray:
     """Batched matching in adaptive state variables.
 
     w_prior: (M, n) states (rho, u, theta, f_3, ...) as rows; macro_new:
@@ -75,12 +73,12 @@ def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray,
     Toeplitz view of fbar. For finite h those zero terms leave the sum's
     bits as they are, so it equals the sum over k = 0..b. When the
     parameters coincide the match is the identity bitwise, except that a
-    -0.0 in a row >= L comes out +0.0. Column j is grid cell first + j,
-    which a matching-bound DomainError names.
+    -0.0 in a row >= L comes out +0.0. A matching-bound DomainError names
+    the column as its cell.
     """
     m, n = w_prior.shape
     l = macro_new.shape[0]
-    _check_weight_ratio(macro_new[2], w_prior[2], first)
+    _check_weight_ratio(macro_new[2], w_prior[2])
     du = w_prior[1] - macro_new[1]
     dth = w_prior[2] - macro_new[2]
     # a row stride of two or more elements keeps einsum off its contiguous

@@ -10,22 +10,32 @@ class ConfigError(ValueError):
     """Inconsistent or out-of-range configuration values."""
 
 
-class DomainError(ValueError):
+class _CellError(ValueError):
+    """An error that can name a cell of the checked batch.
+
+    _CellError(what, cell, detail) reads "{what} in cell {cell}: {detail}"
+    (no cell: what alone; no detail: no colon) and keeps all three, so a
+    caller that knows where the checked batch starts on the grid can raise
+    it again naming the grid cell (shifted).
+    """
+
+    def __init__(self, what: str, cell: int = None, detail: str = ""):
+        msg = what if cell is None else f"{what} in cell {cell}"
+        super().__init__(f"{msg}: {detail}" if detail else msg)
+        self.what, self.cell, self.detail = what, cell, detail
+
+    def shifted(self, first: int):
+        """This error as a new one of its type, naming cell first + cell."""
+        return type(self)(self.what, first + self.cell, self.detail)
+
+
+class DomainError(_CellError):
     """Arguments outside the mathematical domain of an operator."""
 
 
-class StateError(ValueError):
-    """Physically inadmissible state (non-finite, rho <= 0, theta <= 0, ...).
-
-    StateError(what, cell) reads "{what} in cell {cell}", what naming the
-    failed test ("rho or theta <= 0", "non-finite state"), and keeps both,
-    so a caller that knows where the checked batch starts on the grid can
-    name the grid cell.
-    """
-
-    def __init__(self, what: str, cell: int = None):
-        super().__init__(what if cell is None else f"{what} in cell {cell}")
-        self.what, self.cell = what, cell
+class StateError(_CellError):
+    """Physically inadmissible state (non-finite, rho <= 0, theta <= 0, ...);
+    what names the failed test ("rho or theta <= 0", "non-finite state")."""
 
 
 class NumericError(ArithmeticError):

@@ -97,7 +97,7 @@ def check_rows(model, rows, first: int, t: float, phase: str):
     try:
         model.validate(rows.T)
     except StateError as exc:
-        raise at_time(StateError(exc.what, first + exc.cell), t, phase) from exc
+        raise at_time(exc.shifted(first), t, phase) from exc
 
 
 class MomentBuffer:

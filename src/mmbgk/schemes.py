@@ -316,9 +316,9 @@ class _Runner:
             elif self.euler_buf.span is not None:  # None: a write from outside
                 lo, hi = self.euler_buf.span
             try:
-                w[:, lo:hi] = transform_state_slots(w[:, lo:hi], macro[:, lo:hi], lo)
+                w[:, lo:hi] = transform_state_slots(w[:, lo:hi], macro[:, lo:hi])
             except DomainError as exc:
-                raise at_time(exc, t_next, "match") from exc
+                raise at_time(exc.shifted(lo), t_next, "match") from exc
             # the match off [lo, hi): a -0.0 in a row >= L becomes +0.0
             w[l:, :lo] += 0.0
             w[l:, max(lo, hi):] += 0.0

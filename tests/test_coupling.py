@@ -270,17 +270,23 @@ def test_batched_matching_column_bits_do_not_depend_on_the_batch(m, l):
     full = transform_state_slots(w, macro).view(np.int64)
     for lo in range(n):
         for hi in (lo, lo + 1, lo + 2, min(lo + 7, n)):
-            part = transform_state_slots(w[:, lo:hi], macro[:, lo:hi], lo)
+            part = transform_state_slots(w[:, lo:hi], macro[:, lo:hi])
             np.testing.assert_array_equal(part.view(np.int64), full[:, lo:hi])
 
 
-def test_batched_matching_domain_bound_names_the_cell_after_first():
-    # column j is grid cell first + j
+def test_batched_matching_domain_bound_carries_its_cell():
+    # the error keeps the column as its cell; the runner, matching a window
+    # that starts at grid cell 40, shifts it to name the grid cell
     w = np.tile([1.0, 0.0, 1.0, 0.1, 0.0, 0.0], (6, 1))
     macro = w[:, :3].copy()
     w[3, 2] = 3.0
-    with pytest.raises(DomainError, match=r"in cell 43: theta_prior=3, theta_new=1$"):
-        transform_state_slots(w.T, macro.T, 40)
+    with pytest.raises(DomainError) as info:
+        transform_state_slots(w.T, macro.T)
+    assert info.value.cell == 3
+    shifted = info.value.shifted(40)
+    assert type(shifted) is DomainError and shifted.cell == 43
+    assert str(shifted) == ("matching outside the realizability bound "
+                            "theta_prior < 2*theta_new in cell 43: theta_prior=3, theta_new=1")
 
 
 def test_batched_matching_domain_bound():

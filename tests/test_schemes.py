@@ -671,9 +671,9 @@ def test_span_local_match_equals_the_full_grid_match_bitwise(scheme, n_macro, or
         seen["macro"] = extrapolate(*args)
         return seen["macro"]
 
-    def recorded_transform(w_prior, macro, first=0):
+    def recorded_transform(w_prior, macro):
         widths.append(w_prior.shape[1])
-        return transform(w_prior, macro, first)
+        return transform(w_prior, macro)
 
     def compared(self, t, dt_total):
         out = macro_step(self, t, dt_total)
@@ -717,24 +717,24 @@ def test_cpi_matching_bound_in_the_span_names_its_grid_cell(monkeypatch):
     # cpi extrapolates the theta of cell 50 to 0.4 of the prior's, past the
     # matching bound; the match reads only the moved columns [lo, hi) and
     # its error names the grid cell lo + j
-    extrapolate, transform, firsts = schemes.pi_extrapolate, schemes.transform_state_slots, []
+    extrapolate, moved_columns, spans = schemes.pi_extrapolate, schemes._moved_columns, []
 
     def squeezed(*args):
         out = extrapolate(*args)
         out[2, 50] = 0.4 * args[0][2, 50]
         return out
 
-    def recorded(w_prior, macro, first=0):
-        firsts.append((first, first + w_prior.shape[1]))
-        return transform(w_prior, macro, first)
+    def recorded(new, old):
+        spans.append(moved_columns(new, old))
+        return spans[-1]
 
     monkeypatch.setattr(schemes, "pi_extrapolate", squeezed)
-    monkeypatch.setattr(schemes, "transform_state_slots", recorded)
+    monkeypatch.setattr(schemes, "_moved_columns", recorded)
     cfg = TwoBeamConfig(scheme="cpi", eps=1e-4, n_cells=100, t_end=0.003)
     with pytest.raises(DomainError, match=r"in cell 50: theta_prior=[^,]+, theta_new=\S+ "
                        r"at t=0\.0005 \(match\)$"):
         run(two_beam_initial(cfg)[0], cfg)
-    lo, hi = firsts[-1]
+    lo, hi = spans[-1]
     assert 0 < lo < 50 < hi - 1
 
 

@@ -1,24 +1,24 @@
 """Paired benchmark record of a base checkout and this one, as one JSON file.
 
-Usage: python3 tools/bench_record.py BASE_DIR OUT_JSON [--pairs 10]
-           [--seconds 30] [--phase-rounds 5] [--phase-repeats 3]
+Usage: python3 tools/bench_record.py BASE_DIR OUT_JSON
 
 BASE_DIR is a plain copy of the base revision (from `git archive` or
 `git clone`); the other side is the checkout this script lives in, with
 its working tree as it is. For each perfbench workload the script runs
-`--pairs` pairs of `perfbench/run.py --trace 0`, one on each checkout from
-its own root, pair i with seed i + 1, the base first in even pairs and the
-change first in odd ones. It keeps the final JSON line of every run and, per
-end-to-end metric, each side's median and quartiles and the pairs the
-change wins (reads better than the base; ties count for neither side).
+PAIRS = 10 pairs of `perfbench/run.py --seconds 30 --trace 0`, one on each
+checkout from its own root, pair i with seed i + 1, the base first in even
+pairs and the change first in odd ones. It keeps the final JSON line of
+every run and, per end-to-end metric, each side's median and quartiles and
+the pairs the change wins (reads better than the base; ties count for
+neither side).
 
 It then times the phases of the macro steps through `StepReport`: the
 wide-m40 cases of mmhme and cpi (500 cells, M = 40, order 2, eps = 1e-4,
 t_end = 0.008) run in a fresh interpreter per side with perfbench's pinned
-thread and allocator settings. Rounds alternate base and change; each round
-runs each case `--phase-repeats` times. Per run, a phase's time is its mean
-over the run's macro steps, in ms; the record keeps the minimum and the
-median of those over all runs of a side.
+thread and allocator settings, PHASE_RUNS = 15 rounds that alternate base
+and change, one run of each case per side and round after a warm-up run. Per
+run, a phase's time is its mean over the run's macro steps, in ms; the
+record keeps the minimum and the median of those over all runs of a side.
 
 The JSON holds both sides' revisions (the text of a REVISION file
 at a checkout's root, which a `git archive` copy needs, else `git describe
@@ -39,26 +39,24 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("beams-m10", "stiff-eps", "wide-m40")
 PHASES = ("t_micro", "t_restrict", "t_macro", "t_match")
+PAIRS, SECONDS, PHASE_RUNS = 10, 30.0, 15
 
 # one fresh interpreter: the wide-m40 case of each scheme, per-phase mean ms
-# per macro step of each run, printed as one JSON line
+# per macro step of one run after a warm-up, printed as one JSON line
 _PHASE_CHILD = r"""
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from mmbgk.experiments import TwoBeamConfig, two_beam_initial
 from mmbgk.schemes import run_with_reports
 out = {}
-for scheme in sys.argv[3:]:
+for scheme in sys.argv[2:]:
     cfg = TwoBeamConfig(scheme=scheme, eps=1e-4, t_end=0.008, n_moments=40,
                         n_cells=500, order=2)
     field0 = two_beam_initial(cfg)[0]
     run_with_reports(field0, cfg)  # warm-up
-    runs = []
-    for _ in range(int(sys.argv[2])):
-        reports = [r for r in run_with_reports(field0, cfg)[1] if r.t_match > 0.0]
-        runs.append({p: 1e3 * sum(getattr(r, p) for r in reports) / len(reports)
-                     for p in %r})
-    out[scheme] = runs
+    reports = [r for r in run_with_reports(field0, cfg)[1] if r.t_match > 0.0]
+    out[scheme] = {p: 1e3 * sum(getattr(r, p) for r in reports) / len(reports)
+                   for p in %r}
 print(json.dumps(out))
 """ % (PHASES,)
 
@@ -93,17 +91,16 @@ def _cpu_model():
     return platform.processor() or None
 
 
-def _perfbench(checkout, workload, seed, seconds, env):
+def _perfbench(checkout, workload, seed, env):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", "0"]
     res = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     lines = res.stdout.strip().splitlines()
     return {"exit_code": res.returncode, "final": json.loads(lines[-1]) if lines else None}
 
 
-def _phases(checkout, repeats, schemes, env):
-    cmd = [sys.executable, "-c", _PHASE_CHILD, os.path.join(checkout, "src"), str(repeats),
-           *schemes]
+def _phases(checkout, schemes, env):
+    cmd = [sys.executable, "-c", _PHASE_CHILD, os.path.join(checkout, "src"), *schemes]
     res = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(res.stdout.strip().splitlines()[-1])
 
@@ -135,10 +132,6 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base_dir")
     p.add_argument("out_json")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=30.0)
-    p.add_argument("--phase-rounds", type=int, default=5)
-    p.add_argument("--phase-repeats", type=int, default=3)
     args = p.parse_args(argv)
     base = os.path.abspath(args.base_dir)
     sides = {"base": base, "change": ROOT}
@@ -146,13 +139,13 @@ def main(argv=None):
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    seeds = [i + 1 for i in range(args.pairs)]
+    seeds = [i + 1 for i in range(PAIRS)]
     perf = {}
     for w in WORKLOADS:
         runs = {side: [] for side in sides}
         for i, seed in enumerate(seeds):
             for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-                run = _perfbench(sides[side], w, seed, args.seconds, env)
+                run = _perfbench(sides[side], w, seed, env)
                 runs[side].append(dict(run, seed=seed))
                 print(f"{w} pair {i} {side}: exit {run['exit_code']}", file=sys.stderr)
         complete = all(r["final"] for rs in runs.values() for r in rs)
@@ -160,15 +153,15 @@ def main(argv=None):
 
     schemes = ("mmhme", "cpi")
     phase_runs = {side: {s: [] for s in schemes} for side in sides}
-    for _ in range(args.phase_rounds):
+    for _ in range(PHASE_RUNS):
         for side, checkout in sides.items():
-            for s, runs in _phases(checkout, args.phase_repeats, schemes, env).items():
-                phase_runs[side][s].extend(runs)
+            for s, run in _phases(checkout, schemes, env).items():
+                phase_runs[side][s].append(run)
 
     record = {
         "revisions": {side: _revision(checkout) for side, checkout in sides.items()},
         "seeds": seeds,
-        "perfbench_seconds": args.seconds,
+        "perfbench_seconds": SECONDS,
         "threads": {k: env[k] for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")},
         "machine": {"cpu": _cpu_model(), "cores": os.cpu_count(),
                     "python": platform.python_version(),
@@ -177,7 +170,7 @@ def main(argv=None):
         "step_phases_wide_m40": {
             "what": "StepReport phase, mean ms per macro step of one run; "
                     "min and median over the runs of a side",
-            "runs_per_side": args.phase_rounds * args.phase_repeats,
+            "runs_per_side": PHASE_RUNS,
             **{side: {s: _phase_summary(runs) for s, runs in per.items()}
                for side, per in phase_runs.items()},
         },
