@@ -91,6 +91,15 @@ def constant_field(grid: Grid1D, state, time: float = 0.0) -> Field:
     return Field(grid, np.tile(state, (grid.n_cells, 1)), time)
 
 
+def bit_span(new, old):
+    """[lo, hi) bounding the columns where the row blocks new and old of one
+    shape differ in any bit, or None if none does. The rows are compared as
+    int64, so -0.0 and +0.0 differ and a NaN equals its own bits."""
+    moved = (new.view(np.int64) != old.view(np.int64)).any(axis=0)
+    lo = int(moved.argmax())
+    return (lo, moved.size - int(moved[::-1].argmax())) if moved[lo] else None
+
+
 def check_rows(model, rows, first: int, t: float, phase: str):
     """model.validate of moment-major rows whose column j is grid cell
     first + j; the StateError names the grid cell, the time t and the phase."""
@@ -181,12 +190,13 @@ class MomentBuffer:
         """The cells whose stencil holds a jump, (n, 0) if no two neighbouring
         cells differ. The ghosts copy the end cells, so they add no jump."""
         g, n = self.order, self.w.shape[1]
-        bits = self.we.view(np.int64)[:, g:g + n]
-        jumps = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0))
-        if jumps.size == 0:
+        jumps = bit_span(self.w[:, 1:], self.w[:, :-1])
+        if jumps is None:
             return (n, 0)
-        # the jump between cells a and a + 1 is in the stencils of a - g + 1 .. a + g
-        return (max(int(jumps[0]) - g + 1, 0), min(int(jumps[-1]) + g + 1, n))
+        # the jumps between cells a and a + 1 for a in [lo, hi) are in the
+        # stencils of lo - g + 1 .. hi - 1 + g
+        lo, hi = jumps
+        return (max(lo - g + 1, 0), min(hi + g, n))
 
     def _flux_operator(self, states, first: int, t: float):
         """model.flux_operator of moment-major states whose column j is grid

@@ -16,10 +16,11 @@ its caps: the CFL limit of the entering state; eps for pi/cpi or eps/2 for
 the other forward-Euler sources (micro-split's exact source has none); and
 dt_macro/K for the macro schemes. An explicit dt_micro wins; euler has no
 micro step. Every advance of run() goes through step(), which covers its
-interval one of four ways: euler in CFL-limited Euler substeps; micro and
-micro-split in one micro step; a macro scheme's interval that holds its K
-micro steps in one macro step; and a shorter one, the tail, in micro steps
-of dt_micro, the last one of the rest. One remainder rule holds throughout:
+interval one of three ways: a macro scheme's interval that holds its K
+micro steps in one macro step; euler in CFL-limited Euler substeps; and
+any other in micro steps of at most dt, the last one of the rest, with dt
+= dt_micro for a macro scheme's shorter interval, the tail, and the whole
+interval for micro and micro-split. One remainder rule holds throughout:
 no step covers time the run absorbs, a remainder up to 1e-6 of the pace
 (the step run() hands to step()). run() stamps such a remainder onto the
 time, the split takes an interval within it of K dt_micro as a macro step,
@@ -88,16 +89,14 @@ from dataclasses import dataclass
 import math
 import time
 
-import numpy as np
-
 from .coupling import match_hsm_states, pi_extrapolate, transform_state_slots
 from .errors import ConfigError, DomainError, StateError, at_time
 # spatial_update, apply_source, apply_source_exact and cfl_timestep are not
 # called here; they stay module globals because perfbench's tracer patches
 # them by name
 from .grid import (  # noqa: F401
-    Field, MomentBuffer, apply_source, apply_source_exact, cfl_limit, cfl_timestep, check_rows,
-    spatial_update,
+    Field, MomentBuffer, apply_source, apply_source_exact, bit_span, cfl_limit, cfl_timestep,
+    check_rows, spatial_update,
 )
 from .models import EulerModel, decay_factor, make_model
 
@@ -129,15 +128,6 @@ class StepReport:
     t_restrict: float = 0.0
     t_macro: float = 0.0
     t_match: float = 0.0
-
-
-def _moved_columns(new, old):
-    """[lo, hi) bounding the columns where the rows new and old differ in
-    any bit, compared as int64 as MomentBuffer._jump_span does; (0, 0) if
-    none."""
-    moved = (new.view(np.int64) != old.view(np.int64)).any(axis=0)
-    lo = int(moved.argmax())
-    return (lo, moved.size - int(moved[::-1].argmax())) if moved[lo] else (0, 0)
 
 
 def scheme_model(cfg: SimConfig):
@@ -175,7 +165,6 @@ class _Runner:
         self.macro = self.scheme in _MACRO_SCHEMES
         # the macro advance: extrapolation (pi, cpi) or restrict + Euler (mm)
         self.extrapolate = self.scheme in ("pi", "cpi")
-        self.euler = EulerModel()
         self.model = scheme_model(cfg)
         if field0.n_vars != self.model.n_vars:
             raise ConfigError(
@@ -232,7 +221,7 @@ class _Runner:
                 f"the pace {self.pace:g}, so the run would take no step"
             )
         if self.scheme in ("mmhme", "mmhsm"):
-            self.euler_buf = MomentBuffer(field0.grid, self.euler, cfg.order)
+            self.euler_buf = MomentBuffer(field0.grid, EulerModel(), cfg.order)
 
     def _micro(self, t: float, dt: float, n: int, keep: int = 0):
         """n transport + relaxation steps of size dt on the buffer from time t.
@@ -310,7 +299,7 @@ class _Runner:
         if self.model.kind == "hme" and l < self.model.n_vars:
             # the columns [lo, hi) the macro advance can have moved
             if self.extrapolate:
-                lo, hi = _moved_columns(macro, w[:l])
+                lo, hi = bit_span(macro, w[:l]) or (0, 0)
                 # match only a valid extrapolated state
                 check_rows(self.model, macro[:, lo:hi], lo, t_next, "extrapolate")
             elif self.euler_buf.span is not None:  # None: a write from outside
@@ -333,25 +322,23 @@ class _Runner:
 
     def step(self, t: float, dt_total: float):
         """One advance of dt_total from time t on the buffer; returns the time
-        reached and its report. euler: CFL-limited Euler substeps. micro,
-        micro-split: one micro step. A macro scheme's interval that holds the
-        K micro steps up to the absorbed remainder: one macro step. A shorter
-        one, the tail: micro steps of dt_micro, the last one of the rest,
-        while the rest exceeds the absorbed remainder."""
+        reached and its report. A macro scheme's interval that holds the K
+        micro steps up to the absorbed remainder: one macro step. euler:
+        CFL-limited Euler substeps, reaching the time they accumulate. Any
+        other interval runs micro steps of at most dt, the last one of the
+        rest, while the rest exceeds the absorbed remainder: dt is dt_micro
+        for a macro scheme's shorter interval, the tail, and dt_total for
+        micro and micro-split, which thus take one micro step."""
+        if self.macro and dt_total > self.k * self.dt_micro - self.absorbed:
+            return self._macro_step(t, dt_total)
         t0 = time.perf_counter()
         if self.scheme == "euler":
             t = self._euler_advance(self.buf, t, dt_total)
             return t, StepReport(dt_total, 0, t_macro=time.perf_counter() - t0)
-        if not self.macro:
-            n = 1
-            self._micro(t, dt_total, n)
-        elif dt_total > self.k * self.dt_micro - self.absorbed:
-            return self._macro_step(t, dt_total)
-        else:
-            dt, n = self.dt_micro, 0
-            while (rest := dt_total - n * dt) > self.absorbed:
-                self._micro(t + n * dt, min(rest, dt), 1)
-                n += 1
+        dt, n = self.dt_micro if self.macro else dt_total, 0
+        while (rest := dt_total - n * dt) > self.absorbed:
+            self._micro(t + n * dt, min(rest, dt), 1)
+            n += 1
         return t + dt_total, StepReport(dt_total, n, t_micro=time.perf_counter() - t0)
 
     def run(self):

@@ -282,6 +282,15 @@ def test_distance_is_squared_coefficient_norm_in_shared_basis():
     assert weighted_l2_distance(a, b, a.params) == pytest.approx(9e-6, rel=1e-10)
 
 
+def test_distance_that_overflows_raises():
+    a = hme_expansion(np.array([1.0, 0.0, 1.0, 1e200, 0.0, 0.0]))
+    b = hme_expansion(np.array([1.0, 0.0, 1.0, -1e200, 0.0, 0.0]))
+    # the quadratic forms overflow to inf; the check turns that into an error
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match="weighted distance is not finite"):
+        weighted_l2_distance(a, b, a.params)
+
+
 def test_distance_against_direct_quadrature():
     fa = hme_expansion(np.array([1.0, 0.1, 1.0, -0.2, 0.1, -0.01]))
     fb = hme_expansion(np.array([1.1, 0.0, 0.9, 0.15, -0.05, 0.02]))

@@ -1,5 +1,7 @@
 """Command-line entry points: parsing, CSV output, exit codes."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,18 @@ def test_config_file_errors(tmp_path, capsys):
     assert "must follow a subcommand" in capsys.readouterr().err
 
 
+def test_config_flag_with_equals_sign_and_without_a_path(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("cells = 20\nt_end = 0.001\neps = 1e-3\n", encoding="utf-8")
+    out = tmp_path / "a.csv"
+    assert parse_and_dispatch(["two-beam", f"--config={cfgfile}", "--out", str(out)]) == 0
+    _, rows = _read_csv(tmp_path / "a_t0.csv")
+    assert len(rows) == 20
+    capsys.readouterr()
+    assert parse_and_dispatch(["two-beam", "--config"]) == 2
+    assert "--config expects a file path" in capsys.readouterr().err
+
+
 def test_matching_study_output(tmp_path, capsys):
     out = tmp_path / "m.csv"
     assert parse_and_dispatch(["matching-study", "--out", str(out)]) == 0
@@ -255,6 +269,22 @@ def test_snapshot_target_an_ulp_past_a_pace_multiple_keeps_the_last_csv(tmp_path
 def test_bad_float_list_exits_two(capsys):
     assert parse_and_dispatch(["bench", "--eps", "abc"]) == 2
     assert "comma-separated numbers" in capsys.readouterr().err
+
+
+def test_empty_float_list_exits_two(capsys):
+    assert parse_and_dispatch(["bench", "--eps", ","]) == 2
+    assert "--eps got an empty list" in capsys.readouterr().err
+
+
+def test_entry_points_read_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mmbgk", "--help"])
+    assert parse_and_dispatch() == 0
+    assert "two-beam" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["mmbgk", "no-such-command"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_unwritable_output_exits_one(tmp_path, capsys):

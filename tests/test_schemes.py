@@ -310,6 +310,7 @@ def _reference_run(f, cfg):
     substep. Returns the snapshots and the number of reported steps."""
     r = schemes._Runner(f, cfg)  # resolved dt_micro, K, L and pace
     model, order, eps, l = r.model, cfg.order, cfg.eps, r.n_macro
+    euler_model = make_model("euler")
     source = apply_source_exact if cfg.scheme == "micro-split" else apply_source
 
     def micro(f, dt, n):
@@ -322,8 +323,8 @@ def _reference_run(f, cfg):
     def euler(f, dt_total):
         remaining = dt_total
         while remaining > r.absorbed:
-            step = min(remaining, cfl_timestep(f, r.euler, cfg.cfl))
-            f = spatial_update(f, r.euler, step, order)
+            step = min(remaining, cfl_timestep(f, euler_model, cfg.cfl))
+            f = spatial_update(f, euler_model, step, order)
             remaining -= step
         return f
 
@@ -376,17 +377,24 @@ def _reference_run(f, cfg):
     return snaps, n_steps
 
 
-@pytest.mark.parametrize("eps", [1e-3, 1e-4])
-@pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("scheme,model,n_macro", [
-    (s, {"mmhsm": "hsm", "euler": "euler"}.get(s, "hme"), None) for s in ALL_SCHEMES
-] + [("pi", "hsm", None), ("cpi", "hme", 5), ("cpi", "hsm", 5)])
-def test_buffer_loop_matches_single_step_composition(scheme, model, n_macro, order, eps):
+_LOOP_CASES = (
     # 24.6 macro steps: full steps, a shrunk last macro step or a tail; at
     # eps = 1e-4 the mm schemes also run the Euler leftover
-    f, _ = _two_beam_field(n_cells=120, model=model)
-    cfg = _cfg(scheme=scheme, model=model, n_moments=f.n_vars, eps=eps, order=order,
-               t_end=0.0123, n_snapshots=3, n_macro=n_macro)
+    [dict(scheme=s, model=mdl, n_macro=l, order=o, eps=e)
+     for s, mdl, l in [(s, {"mmhsm": "hsm", "euler": "euler"}.get(s, "hme"), None)
+                       for s in ALL_SCHEMES]
+     + [("pi", "hsm", None), ("cpi", "hme", 5), ("cpi", "hsm", 5)]
+     for o in (1, 2) for e in (1e-3, 1e-4)]
+    # 4 steps of 0.05, each in at least 2 CFL-limited Euler substeps
+    + [dict(scheme=s, model=mdl, n_macro=None, order=o, eps=1e-4, dt_macro=0.05,
+            t_end=0.2, n_snapshots=1)
+       for s, mdl in (("mmhme", "hme"), ("mmhsm", "hsm"), ("euler", "euler")) for o in (1, 2)])
+
+
+@pytest.mark.parametrize("case", _LOOP_CASES, ids=lambda c: "-".join(map(str, c.values())))
+def test_buffer_loop_matches_single_step_composition(case):
+    f, _ = _two_beam_field(n_cells=120, model=case["model"])
+    cfg = _cfg(**{"n_moments": f.n_vars, "t_end": 0.0123, "n_snapshots": 3, **case})
     snaps, reports = run_with_reports(f, cfg)
     ref, n_steps = _reference_run(f, cfg)
     assert len(reports) == n_steps
@@ -455,6 +463,30 @@ def test_invalid_state_in_the_loop_names_cell_time_and_phase():
     f, _ = _two_beam_field(n_cells=100)
     with pytest.raises(StateError, match=r"<= 0 in cell \d+ at t=[0-9.e-]+ \(source\)"):
         run(f, _cfg(scheme="micro", dt_micro=1e-3, eps=1e-5, t_end=0.5))
+
+
+# Two runs the physics allows that a frozen step size aborts; step control
+# that adapts the step must make them pass
+
+
+@pytest.mark.xfail(strict=True, raises=StepError, reason="the fold makes the last step "
+                   "1.0002 dt_micro, past the CFL limit at cfl = 1")
+def test_folded_last_step_keeps_the_cfl_bound():
+    model = make_model("hme", 10)
+    f = constant_field(Grid1D(-1.0, 1.0, 50), model.equilibrium(1.0, 0.3, 1.0))
+    cfg = _cfg(scheme="micro-split", cfl=1.0, eps=1e-2)
+    cfg.t_end = 3.0002 * schemes._Runner(f, cfg).dt_micro
+    snaps = run(f, cfg)
+    assert snaps[-1].time == cfg.t_end
+    np.testing.assert_array_equal(snaps[-1].data, f.data)
+
+
+@pytest.mark.xfail(strict=True, raises=StepError, reason="dt_micro is fixed from the "
+                   "entering state; the waves speed up past it at t = 0.0213")
+def test_two_beam_runs_to_the_end_at_cfl_095():
+    cfg = TwoBeamConfig(scheme="micro-split", cfl=0.95, eps=1e-2, t_end=3.0)
+    snaps = run(two_beam_initial(cfg)[0], cfg)
+    assert snaps[-1].time == 3.0 and np.all(np.isfinite(snaps[-1].data))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -717,7 +749,7 @@ def test_cpi_matching_bound_in_the_span_names_its_grid_cell(monkeypatch):
     # cpi extrapolates the theta of cell 50 to 0.4 of the prior's, past the
     # matching bound; the match reads only the moved columns [lo, hi) and
     # its error names the grid cell lo + j
-    extrapolate, moved_columns, spans = schemes.pi_extrapolate, schemes._moved_columns, []
+    extrapolate, moved_columns, spans = schemes.pi_extrapolate, schemes.bit_span, []
 
     def squeezed(*args):
         out = extrapolate(*args)
@@ -729,7 +761,7 @@ def test_cpi_matching_bound_in_the_span_names_its_grid_cell(monkeypatch):
         return spans[-1]
 
     monkeypatch.setattr(schemes, "pi_extrapolate", squeezed)
-    monkeypatch.setattr(schemes, "_moved_columns", recorded)
+    monkeypatch.setattr(schemes, "bit_span", recorded)
     cfg = TwoBeamConfig(scheme="cpi", eps=1e-4, n_cells=100, t_end=0.003)
     with pytest.raises(DomainError, match=r"in cell 50: theta_prior=[^,]+, theta_new=\S+ "
                        r"at t=0\.0005 \(match\)$"):

@@ -17,7 +17,8 @@ so a copy placed in another checkout hashes that checkout's code. Prints one
   the macro step (its tail, too short for the K micro steps, runs as micro
   steps; at K = 4 that is two full ones and a rest), M = 40 at order 2,
   eps = 1e-3 (the micro steps fill the macro step, so no Euler leftover
-  runs) and eps = inf.
+  runs), eps = inf, and dt_macro = 0.05 for mmhme, mmhsm and euler, whose
+  steps each take 3 CFL-limited Euler substeps.
 """
 
 import hashlib
@@ -51,6 +52,8 @@ LIBRARY_CASES = (
                                  t_end=0.0123))]
     + [(f"{s}-eps1e-3", dict(_SMALL, scheme=s, eps=1e-3)) for s in SCHEMES]
     + [(f"{s}-epsinf", dict(_SMALL, scheme=s, eps=float("inf"))) for s in SCHEMES]
+    + [(f"{s}-bigstep-o{o}", dict(_SMALL, scheme=s, order=o, dt_macro=0.05, t_end=0.1))
+       for s in ("mmhme", "mmhsm", "euler") for o in (1, 2)]
 )
 
 
