@@ -19,11 +19,7 @@ from .errors import ConfigError, DomainError, NumericError, StateError, StepErro
 from .grid import (
     Field,
     Grid1D,
-    apply_source,
-    apply_source_exact,
-    cfl_timestep,
     constant_field,
-    spatial_update,
 )
 from .models import EulerModel, HMEModel, HSMModel, make_model
 from .quadrature import QuadratureRule, gauss_hermite_e, gaussian_rule
@@ -48,8 +44,7 @@ __all__ = [
     "weighted_l2_distance",
     "pi_extrapolate",
     "ConfigError", "DomainError", "NumericError", "StateError", "StepError",
-    "Field", "Grid1D", "apply_source", "apply_source_exact", "cfl_timestep",
-    "constant_field", "spatial_update",
+    "Field", "Grid1D", "constant_field",
     "EulerModel", "HMEModel", "HSMModel", "make_model",
     "QuadratureRule", "gauss_hermite_e", "gaussian_rule",
     "SimConfig", "StepReport", "run", "run_with_reports",

@@ -96,6 +96,9 @@ def transform_state_slots(w_prior: np.ndarray, macro_new: np.ndarray) -> np.ndar
     r = np.zeros((2 * m - 1, width))[:, :n]
     r[:m] = w_prior[::-1]
     r[m - 3:m - 1] = 0.0  # fbar_1 = fbar_2 = 0
+    # sliding_window_view(r, m, axis=0)[:m - l] is the same view, but its
+    # argument checks add 7-20 us per call (2-core Xeon, numpy 2.4.6): 4-7 %
+    # of an mmhme or cpi run at M = 10, 2 % at M = 40
     rows, cols = r.strides
     t = as_strided(r, (m - l, n, m), (rows, cols, rows), writeable=False)
     out = np.empty((m, n))

@@ -121,22 +121,23 @@ class MomentBuffer:
     allocation of the state, its ghosts or its cell-major copies.
 
     `span = (lo, hi)` bounds the cells [lo, hi) that the next transport can
-    change, or is None, which means "find it"; load resets it to None. Cell
-    i's stencil holds the 2g jumps between columns i, ..., i + 2g of `we`,
-    a jump being two neighbouring columns that differ in any bit. A cell
-    with no jump in its stencil gets a fluctuation of exactly +0: its jumps
-    and minmod slopes are x - x = +0 (sign(+0) = +0), every term built from
-    them is a zero, and a sum of zeros with a +0 addend is +0. At order 1,
-    Q Delta has the addend Delta / nu = +0, so D^+ = A_hat Delta + Q Delta
-    is +0 and so is the bracket D^+ + D^-; at order 2 the bracket's in-cell
-    addend A sigma is +0. Then w - (+0) = w, even for w = -0.0. So transport
-    runs its FORCE body on the window we[:, lo:hi + 2g] alone, and widens
-    the span by g per side after it, since only the jumps next to a changed
-    cell can appear. An empty span is (n, 0); a step on it changes nothing
-    and keeps it. A map that computes each cell from that cell alone keeps
-    neighbours with equal bits equal, so the collision needs no update;
-    after any other write to the cells, set the span to one that bounds the
-    new jumps' stencils, or to None.
+    change, and it is always a range: a new buffer holds (0, n), the whole
+    grid, and load sets the one find_span finds. Cell i's stencil holds the
+    2g jumps between columns i, ..., i + 2g of `we`, a jump being two
+    neighbouring columns that differ in any bit. A cell with no jump in its
+    stencil gets a fluctuation of exactly +0: its jumps and minmod slopes
+    are x - x = +0 (sign(+0) = +0), every term built from them is a zero,
+    and a sum of zeros with a +0 addend is +0. At order 1, Q Delta has the
+    addend Delta / nu = +0, so D^+ = A_hat Delta + Q Delta is +0 and so is
+    the bracket D^+ + D^-; at order 2 the bracket's in-cell addend A sigma
+    is +0. Then w - (+0) = w, even for w = -0.0. So transport runs its FORCE
+    body on the window we[:, lo:hi + 2g] alone, and widens the span by g per
+    side after it, since only the jumps next to a changed cell can appear.
+    An empty span is (n, 0); a step on it changes nothing and keeps it. A
+    map that computes each cell from that cell alone keeps neighbours with
+    equal bits equal, so the collision needs no update; after any other
+    write to the cells, set the span to one that bounds the new jumps'
+    stencils: find_span(), or (0, n) at the widest.
 
     Two simpler designs keep the bits but not the speed. Each was timed in
     one process against this one on the cases of the three perfbench
@@ -162,15 +163,15 @@ class MomentBuffer:
         self.model, self.order, self.dx = model, order, grid.dx
         self.we = np.empty((m, n + 2 * g))
         self.w = self.we[:, g:g + n]
-        self.span = None
+        self.span = (0, n)
         # interface arrays (M, n + 1) and the cell bracket (M, n), flat
         self._delta, self._mean = np.empty((2, m * (n + 1)))
         self._bracket = np.empty(m * n)
 
     def load(self, data):
-        """Copy cell-major (n, M) states into the cells; the span is unknown."""
+        """Copy cell-major (n, M) states into the cells and find their span."""
         self.w[...] = data.T
-        self.span = None
+        self.span = self.find_span()
 
     def cells(self) -> np.ndarray:
         """Cell-major (n, M) C-ordered copy of the cells."""
@@ -186,9 +187,10 @@ class MomentBuffer:
         """Largest wave speed of the cells."""
         return float(self.model.wave_speeds(self.w.T).max())
 
-    def _jump_span(self):
+    def find_span(self):
         """The cells whose stencil holds a jump, (n, 0) if no two neighbouring
-        cells differ. The ghosts copy the end cells, so they add no jump."""
+        cells differ; it reads the bits of every cell and sets nothing. The
+        ghosts copy the end cells, so they add no jump."""
         g, n = self.order, self.w.shape[1]
         jumps = bit_span(self.w[:, 1:], self.w[:, :-1])
         if jumps is None:
@@ -215,12 +217,12 @@ class MomentBuffer:
         smax is the largest wave speed of the cells when the caller already
         has it. dt * smax decides the CFL check exactly as the per-cell
         products would, since rounding is monotone. The ghosts and the CFL
-        check cover every cell; the update covers the span (found first if
-        it is None), which then widens by g per side. A state the flux
-        operator rejects (at order 2 the predicted states and the faces
-        reconstructed from them can fail rho > 0 and theta > 0) raises a
-        StateError naming the grid cell, the start time t and phase
-        transport.
+        check cover every cell; the update covers the span, a range that
+        the transport reads and never searches for, which then widens by g
+        per side. A state the flux operator rejects (at order 2 the
+        predicted states and the faces reconstructed from them can fail
+        rho > 0 and theta > 0) raises a StateError naming the grid cell, the
+        start time t and phase transport.
         """
         we, w, g, model, dx = self.we, self.w, self.order, self.model, self.dx
         m, n = w.shape
@@ -233,8 +235,6 @@ class MomentBuffer:
             bad = int(np.argmax(dt * speeds > dx * (1.0 + 1e-12)))
             raise StepError(f"CFL violation in cell {bad} at t={t:g} (transport): "
                             f"dt={dt:g} exceeds {dx / speeds[bad]:g}")
-        if self.span is None:
-            self.span = self._jump_span()
         lo, hi = self.span
         if lo >= hi:
             return

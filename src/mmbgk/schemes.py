@@ -40,33 +40,33 @@ with the buffer's rows, and the runner writes back only the rows that
 change. Each buffer's transport updates only its span, the cells whose
 stencil holds a jump (see grid.MomentBuffer). Restriction computes each
 Euler cell from the same micro cell, so the Euler buffer takes the micro
-buffer's span. After the hand-back of the macro state the micro buffer's
-span is None, and the next transport finds it afresh. A carried span
-widens by g per transport, while the cells that really hold a jump widen
-more slowly, since an update below half an ulp leaves a cell's bits as
-they were; one search per macro step keeps the span near them, however
-many transports the step took (an Euler leftover adds one). The collision
-needs no hand-off: it maps each cell alone, so level neighbours stay
-level.
+buffer's span. Right after the hand-back of the macro state the runner
+sets the micro buffer's span to the one find_span finds; a span is always
+a range, and no transport searches for one. A carried span widens by g per
+transport, while the cells that really hold a jump widen more slowly,
+since an update below half an ulp leaves a cell's bits as they were; one
+search per macro step keeps the span near them, however many transports
+the step took (an Euler leftover adds one). The collision needs no
+hand-off: it maps each cell alone, so level neighbours stay level.
 
 The adaptive match (mmhme, and cpi on the adaptive model with L < M)
 covers only the columns [lo, hi) that the macro advance can have moved.
 For mmhme that is the Euler buffer's span after the leftover: outside it
-no Euler transport wrote, so the macro rows are the restriction bit for bit
-(a write from outside the runner leaves the span None, and then [lo, hi)
-is the whole grid). For cpi it runs from the first to the last column where
-the extrapolated rows differ from the buffer's in any bit. Outside [lo, hi)
-the macro rows thus equal the buffer's leading rows, where the match is the
-identity but for the sign of a zero (see coupling): the runner adds 0.0 to
-those columns' rows >= L, which turns a -0.0 into +0.0 as the match would.
-The other hand-backs cover the whole grid: mmhsm's match rebuilds rows 0-2
-from the primitives, which need not give back their bits, and pi's write
-of the extrapolated rows costs less than the search for the moved columns.
-With no leftover (tau = 0, e.g. eps = 1e-3) the mmhme match is such an
-identity everywhere, yet it still runs over the micro span: a branch that
-skipped it would cut only the steps that run no leftover, so the mm step's
-cost would vary more with eps; that waits until the leftover costs the same
-at every eps.
+no Euler transport wrote, so the macro rows are the restriction bit for
+bit (a write from outside the runner sets a span that bounds the stencils
+of the jumps it made, (0, n) at the widest). For cpi it runs from the
+first to the last column where the extrapolated rows differ from the
+buffer's in any bit. Outside [lo, hi) the macro rows thus equal the
+buffer's leading rows, where the match is the identity but for the sign of
+a zero (see coupling): the runner adds 0.0 to those columns' rows >= L,
+which turns a -0.0 into +0.0 as the match would. The other hand-backs
+cover the whole grid: mmhsm's match rebuilds rows 0-2 from the primitives,
+which need not give back their bits, and pi's write of the extrapolated
+rows costs less than the search for the moved columns. With no leftover
+(tau = 0, e.g. eps = 1e-3) the mmhme match is such an identity everywhere,
+yet it still runs over the micro span: a branch that skipped it would cut
+only the steps that run no leftover, so the mm step's cost would vary more
+with eps; that waits until the leftover costs the same at every eps.
 
 The runner checks its input once, in __init__, as it loads the field into
 the buffer and before anything reads it: the model's state check (finite,
@@ -302,7 +302,7 @@ class _Runner:
                 lo, hi = bit_span(macro, w[:l]) or (0, 0)
                 # match only a valid extrapolated state
                 check_rows(self.model, macro[:, lo:hi], lo, t_next, "extrapolate")
-            elif self.euler_buf.span is not None:  # None: a write from outside
+            else:
                 lo, hi = self.euler_buf.span
             try:
                 w[:, lo:hi] = transform_state_slots(w[:, lo:hi], macro[:, lo:hi])
@@ -315,7 +315,7 @@ class _Runner:
             w[:l] = macro
         else:  # fixed basis: the free rows carry over in place
             w[:3] = match_hsm_states(w[:3], macro)
-        self.buf.span = None
+        self.buf.span = self.buf.find_span()
         self.buf.check(t_next, "extrapolate" if self.extrapolate else "match", lo, hi)
         t4 = time.perf_counter()
         return t_next, StepReport(dt_total, k, t1 - t0, t2 - t1, t3 - t2, t4 - t3)

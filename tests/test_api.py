@@ -1,6 +1,7 @@
 """The package's public surface: every exported name resolves, once."""
 
 import mmbgk
+from mmbgk import grid
 
 # removed from the library; the matching and mass oracles live in tests/oracles.py
 _GONE = ("hme_source", "hsm_source", "hme_system_matrix", "hme_system_matrices",
@@ -19,3 +20,10 @@ def test_removed_names_are_not_exported():
     assert not set(_GONE) & set(mmbgk.__all__)
     for name in _GONE:
         assert not hasattr(mmbgk, name), name
+
+
+def test_single_step_forms_stay_in_grid_only():
+    # the single-step Field forms are test references, not package exports
+    for name in ("spatial_update", "apply_source", "apply_source_exact", "cfl_timestep"):
+        assert name not in mmbgk.__all__ and not hasattr(mmbgk, name), name
+        assert callable(getattr(grid, name)), name

@@ -318,13 +318,14 @@ def test_matching_study_realizability_breach_exits_one(tmp_path, capsys):
 
 def test_two_beam_stopped_by_the_matching_bound_exits_one(tmp_path, capsys, monkeypatch):
     # the Euler leftover of the default eps = 1e-4 ends with the macro theta
-    # of cell 37 below half the prior's; its span is found afresh
+    # of cell 37 below half the prior's; a write from outside the buffer
+    # sets its span to the whole grid
     euler_advance = schemes._Runner._euler_advance
 
     def squeeze_theta(self, buf, t, dt_total):
         t = euler_advance(self, buf, t, dt_total)
         buf.w[2, 37] = 0.4 * self.buf.w[2, 37]
-        buf.span = None
+        buf.span = (0, buf.w.shape[1])
         return t
 
     monkeypatch.setattr(schemes._Runner, "_euler_advance", squeeze_theta)

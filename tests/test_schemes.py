@@ -423,7 +423,7 @@ def test_carried_spans_give_the_bits_of_fresh_and_full_grid_spans(monkeypatch):
 
     carried = runs()
     transport = MomentBuffer.transport
-    for reset in (lambda buf: None, lambda buf: (0, buf.w.shape[1])):
+    for reset in (lambda buf: buf.find_span(), lambda buf: (0, buf.w.shape[1])):
         def reset_span(buf, *args, reset=reset):
             buf.span = reset(buf)
             return transport(buf, *args)
@@ -443,7 +443,7 @@ def test_carried_span_is_the_one_a_fresh_search_finds_at_order_1(m, monkeypatch)
 
     def recorded(buf, *args):
         transport(buf, *args)
-        spans.append((buf.span, buf._jump_span()))
+        spans.append((buf.span, buf.find_span()))
 
     monkeypatch.setattr(MomentBuffer, "transport", recorded)
     cfg = TwoBeamConfig(scheme="micro", order=1, n_moments=m, n_cells=200, t_end=0.02)
@@ -594,6 +594,22 @@ def test_failed_fixed_basis_relaxation_names_cell_time_and_phase(monkeypatch):
     assert len(raised) == 1
 
 
+def test_relaxation_error_on_a_valid_state_propagates_unchanged(monkeypatch):
+    # a relaxation that rejects a state the state check passes: the check
+    # after the transport finds nothing to name, so the runner re-raises the
+    # relaxation's own error
+    rejected = StateError("rejected by the relaxation", 3)
+
+    def reject(self, *args):
+        raise rejected
+
+    monkeypatch.setattr(HSMModel, "relax_moments", reject)
+    f, _ = _two_beam_field(m=6, model="hsm")
+    with pytest.raises(StateError) as info:
+        run(f, _cfg(scheme="micro", model="hsm", n_moments=6))
+    assert info.value is rejected
+
+
 @pytest.mark.parametrize("x_min,cell", [(-1.0, 27), (-3.0, 67)])
 def test_rejected_order_two_predictor_names_cell_time_and_phase(x_min, cell):
     # a cold gas next to a hot one: at order 2 the half-step predictor
@@ -662,13 +678,13 @@ def test_explicit_dt_micro_wins_except_for_euler(scheme):
 def test_matching_bound_in_the_loop_names_cell_time_and_phase(monkeypatch):
     # at eps = 1e-4 the mm step runs an Euler leftover; it ends with the
     # macro theta of cell 37 below half the prior's. The write comes from
-    # outside the buffer, so its span is found afresh
+    # outside the buffer, so it sets the span to the whole grid
     euler_advance = schemes._Runner._euler_advance
 
     def squeeze_theta(self, buf, t, dt_total):
         t = euler_advance(self, buf, t, dt_total)
         buf.w[2, 37] = 0.4 * self.buf.w[2, 37]
-        buf.span = None
+        buf.span = (0, buf.w.shape[1])
         return t
 
     monkeypatch.setattr(schemes._Runner, "_euler_advance", squeeze_theta)
