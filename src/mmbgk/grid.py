@@ -109,6 +109,12 @@ def check_rows(model, rows, first: int, t: float, phase: str):
         raise at_time(exc.shifted(first), t, phase) from exc
 
 
+# the largest M k for which an order-2 transport on k cells builds its
+# predicted cells' operator jointly with the interface means' (40 KiB of
+# them; see MomentBuffer)
+_JOINT_BUILD_VALUES = 5120
+
+
 class MomentBuffer:
     """The cells of one model on one grid, moment-major with ghosts, advanced
     in place.
@@ -137,7 +143,31 @@ class MomentBuffer:
     map that computes each cell from that cell alone keeps neighbours with
     equal bits equal, so the collision needs no update; after any other
     write to the cells, set the span to one that bounds the new jumps'
-    stencils: find_span(), or (0, n) at the widest.
+    stencils: find_span(), or (0, n) at the widest. A transport writes only
+    its span and widens it by g >= 1 per side, so every pair of neighbours
+    that holds a cell it wrote lies inside the span it leaves, and inside
+    every later one. After transports and maps of each cell alone,
+    find_span(*span) thus reads only the cells of the carried span and finds
+    what a whole-grid search finds.
+
+    The FORCE body builds the state-dependent operator once at order 1, on
+    the k + 1 interface means. At order 2 it builds it on the k + 2 cells of
+    the half-step predictor and, while M k <= _JOINT_BUILD_VALUES, once more
+    on one batch that holds the k + 1 means of the reconstructed faces
+    followed by the k predicted cells; a longer span builds the means and
+    the predicted cells apart. A column's coefficients come from its own
+    state alone and each product reads only its own block's columns
+    (flux_operator's apply(v, first)), so the joint build gives every bit of
+    a build per block. It saves a build's per-call cost, most of a build on
+    the short spans of the accelerated schemes, and pays per column for the
+    strided reads of the blocks and the larger arrays. A transport with it
+    on every span, timed against one that builds the blocks apart (perturbed
+    500-cell two-beam state, order 2, 2-core Xeon, perfbench's pinned
+    malloc, minimum of 60 interleaved rounds), is 2-5 % faster at M = 40
+    for k = 20 to 100 and 1-7 % slower for k = 160 to 496, and at M = 10
+    1-11 % faster for every k up to 496; so the bound sits at M k = 5120,
+    k = 128 at M = 40. Spans that long are wide-m40 micro's (most of its
+    steps carry over 150 cells); the accelerated schemes stay under 80.
 
     Two simpler designs keep the bits but not the speed. Each was timed in
     one process against this one on the cases of the three perfbench
@@ -164,9 +194,11 @@ class MomentBuffer:
         self.we = np.empty((m, n + 2 * g))
         self.w = self.we[:, g:g + n]
         self.span = (0, n)
-        # interface arrays (M, n + 1) and the cell bracket (M, n), flat
-        self._delta, self._mean = np.empty((2, m * (n + 1)))
+        # flat: the jumps (M, n + 1), the cell bracket (M, n) and the batch of
+        # the state-dependent build, up to (M, 2n + 2) at order 2
+        self._delta = np.empty(m * (n + 1))
         self._bracket = np.empty(m * n)
+        self._batch = np.empty(m * g * (n + 1))
 
     def load(self, data):
         """Copy cell-major (n, M) states into the cells and find their span."""
@@ -187,28 +219,33 @@ class MomentBuffer:
         """Largest wave speed of the cells."""
         return float(self.model.wave_speeds(self.w.T).max())
 
-    def find_span(self):
-        """The cells whose stencil holds a jump, (n, 0) if no two neighbouring
-        cells differ; it reads the bits of every cell and sets nothing. The
+    def find_span(self, lo: int = 0, hi: int = None):
+        """The cells whose stencil holds a jump between two of the cells
+        [lo, hi), every cell by default, or (n, 0) if none does; it reads
+        the bits of those cells alone and sets nothing. A narrower range
+        finds what a whole-grid search finds when every pair of neighbours
+        that may differ lies inside it (see the class docstring). The
         ghosts copy the end cells, so they add no jump."""
         g, n = self.order, self.w.shape[1]
-        jumps = bit_span(self.w[:, 1:], self.w[:, :-1])
+        hi = n if hi is None else hi
+        jumps = bit_span(self.w[:, lo + 1:hi], self.w[:, lo:hi - 1]) if hi - lo > 1 else None
         if jumps is None:
             return (n, 0)
-        # the jumps between cells a and a + 1 for a in [lo, hi) are in the
-        # stencils of lo - g + 1 .. hi - 1 + g
-        lo, hi = jumps
-        return (max(lo - g + 1, 0), min(hi + g, n))
+        # the jumps between cells j and j + 1 for j in [a, b) are in the
+        # stencils of a - g + 1 .. b - 1 + g
+        a, b = lo + jumps[0], lo + jumps[1]
+        return (max(a - g + 1, 0), min(b + g, n))
 
-    def _flux_operator(self, states, first: int, t: float):
-        """model.flux_operator of moment-major states whose column j is grid
-        cell first + j (a ghost counts as its end cell, an interface as the
-        cell to its right). A rejected state raises a StateError naming its
-        cell, the step's start time t and phase transport."""
+    def _flux_operator(self, states, first: int, t: float, block: int):
+        """model.flux_operator of moment-major states made of blocks of block
+        columns, column j of each being grid cell first + j (a ghost counts
+        as its end cell, an interface as the cell to its right). A rejected
+        state raises a StateError naming its cell, the step's start time t
+        and phase transport."""
         try:
             return self.model.flux_operator(states)
         except StateError as exc:
-            cell = min(max(first + exc.cell, 0), self.w.shape[1] - 1)
+            cell = min(max(first + exc.cell % block, 0), self.w.shape[1] - 1)
             raise at_time(StateError(exc.what, cell), t, "transport") from exc
 
     def transport(self, dt: float, t: float, smax: float = None):
@@ -241,6 +278,11 @@ class MomentBuffer:
         k = hi - lo
         win = we[:, lo:hi + 2 * g]
         nu = dt / dx
+        # the batch of the state-dependent build: the k + 1 interface means,
+        # and at order 2 on a short span the k predicted cells right after
+        # them (see the class docstring)
+        joint = g == 2 and m * k <= _JOINT_BUILD_VALUES
+        batch = self._batch[:m * (2 * k + 2 if joint else k + 1)].reshape(m, -1)
         if g == 1:
             wl, wr = win[:, :-1], win[:, 1:]
         else:
@@ -248,14 +290,21 @@ class MomentBuffer:
             d = np.diff(win, axis=1)
             s, a = np.sign(d), np.abs(d)
             sig = 0.5 * (s[:, :-1] + s[:, 1:]) * np.minimum(a[:, :-1], a[:, 1:])
-            # half-step predictor keeps the update second order in time
-            ev = win[:, 1:-1] - (0.5 * nu) * self._flux_operator(win[:, 1:-1], lo - 1, t)(sig)
-            wl = ev[:, :-1] + 0.5 * sig[:, :-1]
-            wr = ev[:, 1:] - 0.5 * sig[:, 1:]
+            # half-step predictor keeps the update second order in time; in a
+            # joint build its k + 2 cells lo - 1 .. hi go to the batch's
+            # columns k .. 2k + 1, so the k inside follow the means, and the
+            # last mean overwrites cell lo - 1 once wl has read it
+            pred = self._flux_operator(win[:, 1:-1], lo - 1, t, k + 2)
+            ev = np.subtract(win[:, 1:-1], (0.5 * nu) * pred(sig),
+                             out=batch[:, k:] if joint else None)
+            half = 0.5 * sig
+            wl = ev[:, :-1] + half[:, :-1]
+            wr = ev[:, 1:] - half[:, 1:]
         delta = np.subtract(wr, wl, out=self._delta[:m * (k + 1)].reshape(m, k + 1))
-        mean = np.add(wl, wr, out=self._mean[:m * (k + 1)].reshape(m, k + 1))
+        mean = np.add(wl, wr, out=batch[:, :k + 1])
         mean *= 0.5
-        ahat = self._flux_operator(mean, lo, t)
+        # a joint build serves both blocks; each product reads its own columns
+        ahat = self._flux_operator(batch[:, :2 * k + 1], lo, t, k + 1)
         ad = ahat(delta)
         # Q delta = 1/2 (delta / nu + nu A_hat (A_hat delta)), then
         # D^+- = 1/2 (A_hat delta +- Q delta), each product rounded as written
@@ -270,7 +319,8 @@ class MomentBuffer:
         dminus *= 0.5
         bracket = np.add(dplus[:, :-1], dminus[:, 1:], out=self._bracket[:m * k].reshape(m, k))
         if g == 2:
-            bracket += self._flux_operator(ev[:, 1:-1], lo, t)(sig[:, 1:-1])
+            cells = ahat if joint else self._flux_operator(ev[:, 1:-1], lo, t, k)
+            bracket += cells(sig[:, 1:-1], k + 1 if joint else 0)
         bracket *= nu
         w[:, lo:hi] -= bracket
         self.span = (max(lo - g, 0), min(hi + g, n))

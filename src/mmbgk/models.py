@@ -161,7 +161,10 @@ class HMEModel:
         on row 3 and theta on row 4 that fall in column 3. A product is one
         einsum over k, which adds the terms in column order, plus the band on
         columns >= 4: b + 1 above the diagonal, u on it and theta below it.
-        The coefficients are built once here and shared by every product.
+        The coefficients are built once here and shared by every product;
+        apply(v, first) takes v on the batch's columns first, first + 1, ...
+        alone (first = 0 and v as wide as the batch by default), so one
+        build serves blocks of columns that each product reads apart.
         """
         wt = np.asarray(wt, dtype=float)
         m = self.n_vars
@@ -185,13 +188,17 @@ class HMEModel:
         c3 = np.multiply(fbar[1:m - 2], -0.5 * six_rho, out=c[3, 3:])
         c3[0] += u
         c3[1:2] += theta  # row 4, absent at M = 4
-        upper = self._upper
+        upper, n = self._upper, wt.shape[1]
 
-        def apply(v):
-            out = np.einsum("kmn,kn->mn", c, v[:4])
+        def apply(v, first=0):
+            cv, uv, tv = c, u, theta
+            if v.shape[1] != n:  # a block of the batch: its own columns alone
+                cols = slice(first, first + v.shape[1])
+                cv, uv, tv = c[:, :, cols], u[cols], theta[cols]
+            out = np.einsum("kmn,kn->mn", cv, v[:4])
             out[3:-1] += upper * v[4:]
-            out[4:] += u * v[4:]
-            out[5:] += theta * v[4:-1]
+            out[4:] += uv * v[4:]
+            out[5:] += tv * v[4:-1]
             return out
 
         return apply
@@ -223,11 +230,13 @@ class HSMModel:
     _checked = "recovered rho or theta"
 
     def flux_operator(self, wt):
-        """State-independent: the same tridiagonal product for every batch."""
+        """State-independent: the same tridiagonal product for every batch
+        and every block of its columns."""
         return self._tridiagonal
 
-    def _tridiagonal(self, v):
-        """A v for moment-major v; A has off-diagonals sqrt(1..M-1)."""
+    def _tridiagonal(self, v, first=0):
+        """A v for moment-major v, whatever its columns; A has off-diagonals
+        sqrt(1..M-1)."""
         out = np.empty_like(v, dtype=float)
         np.multiply(self._off, v[1:], out=out[:-1])
         out[-1] = 0.0
@@ -277,12 +286,13 @@ class EulerModel:
     def flux_operator(self, wt):
         """v -> A(w) v for moment-major (3, n) states and vectors: one einsum
         over a (3, 3, n) coefficient array, c[k, b] the coefficient of v_k in
-        row b."""
+        row b; v may cover the batch's columns first, first + 1, ... alone,
+        as for the adaptive model."""
         wt = np.asarray(wt, dtype=float)
         check_rho_theta(wt[0], wt[2], "euler rho or theta")
         c = np.empty((3, 3, wt.shape[1]))
         _euler_columns(c, wt[0], wt[1], wt[2])
-        return lambda v: np.einsum("kmn,kn->mn", c, v)
+        return lambda v, first=0: np.einsum("kmn,kn->mn", c[:, :, first:first + v.shape[1]], v)
 
     def wave_speeds(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))

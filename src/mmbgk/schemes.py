@@ -47,7 +47,14 @@ transport, while the cells that really hold a jump widen more slowly,
 since an update below half an ulp leaves a cell's bits as they were; one
 search per macro step keeps the span near them, however many transports
 the step took (an Euler leftover adds one). The collision needs no
-hand-off: it maps each cell alone, so level neighbours stay level.
+hand-off: it maps each cell alone, so level neighbours stay level. The
+search reads only the step's last carried span, the Euler buffer's for
+mm (it holds the micro one) and the micro buffer's for pi and cpi: every
+pair of neighbours that holds a cell a transport of the step wrote lies
+inside it (see grid.MomentBuffer), and every other write of the step maps
+each cell alone (the collision, restriction, extrapolation, the
+matches, the += 0.0 beside the adaptive one), so no pair outside it can
+differ and the search finds the whole-grid span bit for bit.
 
 The adaptive match (mmhme, and cpi on the adaptive model with L < M)
 covers only the columns [lo, hi) that the macro advance can have moved.
@@ -74,15 +81,22 @@ rho > 0, theta > 0) in phase "input", so an invalid field raises even with
 t_end = 0. After that, each step's result is checked once: after the
 source for a micro step, after the transport for an Euler substep, after
 the hand-back of the macro state for a macro step; cpi on the adaptive
-model checks its extrapolated rows before matching them too. Around the
-adaptive match, the matching bound and those last two checks read only
-[lo, hi): every other cell holds the bits that the last micro step's check
-passed, up to the sign of a zero. Every check names the grid cell (a check
-of [lo, hi) adds lo), the time and the phase, and so does a transport whose
-flux operator rejects an order-2 predicted state. Step inputs are checked
-in __init__ too: t_end, dt_macro and a dt_micro the scheme reads must be
-finite, and a snapshot interval must exceed the absorbed remainder, so no
-accepted run is endless or takes no step.
+model checks its extrapolated rows before matching them too. An Euler
+substep's check reads only the span its transport updated, and so does a
+micro step's when the adaptive collision scales rows >= 3 by a factor in
+[-1, 1] and keeps rows 0-2: every other cell holds bits that passed a
+check, or those with their free moments shrunk, which stay finite with
+the same rho and theta. The fixed-basis collision rewrites every row from
+the recovered primitives, and a factor beyond 1 (forward Euler at dt > 2
+eps) can overflow any cell, so those micro steps check every cell. Around
+the adaptive match, the matching bound and the checks read only [lo, hi):
+every other cell holds the bits that the last micro step's check passed,
+up to the sign of a zero. Every check names the grid cell (a check of
+[lo, hi) adds lo), the time and the phase, and so does a transport whose
+flux operator rejects an order-2 face or predicted state. Step inputs are
+checked in __init__ too: t_end, dt_macro and a dt_micro the scheme reads
+must be finite, and a snapshot interval must exceed the absorbed
+remainder, so no accepted run is endless or takes no step.
 """
 
 from dataclasses import dataclass
@@ -234,12 +248,17 @@ class _Runner:
         factor = decay_factor(dt, eps, exact=self.scheme == "micro-split")
         # a decay factor in [-1, 1] cannot make a valid state invalid, so a
         # failed check is charged to the transport; a larger one is the
-        # unstable forward-Euler source (dt > 2 eps)
+        # unstable forward-Euler source (dt > 2 eps). The adaptive collision
+        # then keeps rows 0-2 and shrinks the rest, so a cell the transport
+        # left alone stays valid and the check covers the span it updated;
+        # the fixed-basis one rewrites every row, so it checks every cell
         phase = "transport" if abs(factor) <= 1.0 else "source"
+        narrow = phase == "transport" and model.kind == "hme"
         prev = None
         for i in range(n):
             if keep and i == n - 1:
                 prev = buf.w[:keep].copy()
+            lo, hi = buf.span if narrow else (0, None)
             buf.transport(dt, t)
             t += dt
             try:
@@ -249,20 +268,22 @@ class _Runner:
                 # state; name the cell whose recovered rho or theta failed
                 buf.check(t, "transport")
                 raise
-            buf.check(t, phase)
+            buf.check(t, phase, lo, hi)
         return prev
 
     def _euler_advance(self, buf: MomentBuffer, t: float, dt_total: float) -> float:
         """Euler transport of buf over dt_total in CFL-limited substeps; each
-        substep's size and CFL check share one wave-speed pass. Returns the
-        time reached, accumulated substep by substep."""
+        substep's size and CFL check share one wave-speed pass, and its state
+        check covers the span it updated (no collision writes the others).
+        Returns the time reached, accumulated substep by substep."""
         remaining = dt_total
         while remaining > self.absorbed:
             smax = buf.max_speed()
             step = min(remaining, cfl_limit(self.cfg.cfl, buf.dx, smax))
+            lo, hi = buf.span
             buf.transport(step, t, smax)
             t += step
-            buf.check(t, "transport")
+            buf.check(t, "transport", lo, hi)
             remaining -= step
         return t
 
@@ -315,7 +336,12 @@ class _Runner:
             w[:l] = macro
         else:  # fixed basis: the free rows carry over in place
             w[:3] = match_hsm_states(w[:3], macro)
-        self.buf.span = self.buf.find_span()
+        # every pair of neighbours that holds a cell a transport of this step
+        # wrote lies inside the last carried span (mm: the Euler buffer's,
+        # which holds the micro one); the rest of the hand-back maps each cell
+        # alone, so no pair outside it can differ
+        carried = (self.buf if self.extrapolate else self.euler_buf).span
+        self.buf.span = self.buf.find_span(*carried)
         self.buf.check(t_next, "extrapolate" if self.extrapolate else "match", lo, hi)
         t4 = time.perf_counter()
         return t_next, StepReport(dt_total, k, t1 - t0, t2 - t1, t3 - t2, t4 - t3)

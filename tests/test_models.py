@@ -144,6 +144,22 @@ def test_flux_operator_matches_dense_product(kind, m):
     assert np.all(np.abs(got - ref) <= 1e-14 * (np.abs(mats[0]) @ np.abs(v[0])))
 
 
+@pytest.mark.parametrize("kind,m", [("hme", 4), ("hme", 10), ("hme", 40), ("hsm", 6),
+                                    ("euler", 3)])
+def test_block_products_of_one_build_equal_separate_builds_bitwise(kind, m):
+    # transport builds one operator on two blocks of states side by side and
+    # applies it to each block's columns alone (apply(v, first)); each
+    # product must give the bits of an operator built on its block alone
+    rng = np.random.default_rng(7 + m)
+    model = make_model(kind, m)
+    left, right = (_realizable_states(rng, k, model.n_vars).T for k in (9, 8))
+    both = model.flux_operator(np.hstack([left, right]))
+    for first, states in ((0, left), (9, right)):
+        v = rng.standard_normal(states.shape)
+        np.testing.assert_array_equal(both(v, first).view(np.int64),
+                                      model.flux_operator(states)(v).view(np.int64))
+
+
 @pytest.mark.parametrize("kind", ["hme", "euler"])
 @pytest.mark.parametrize("slot,value", [(0, 0.0), (0, -1.0), (2, 0.0), (2, -0.5),
                                         (0, math.nan), (2, math.nan)])

@@ -451,6 +451,129 @@ def test_carried_span_is_the_one_a_fresh_search_finds_at_order_1(m, monkeypatch)
     assert spans and [a for a, _ in spans] == [b for _, b in spans]
 
 
+_SEARCH_CASES = (
+    [dict(scheme=s, order=o) for s in ALL_SCHEMES for o in (1, 2)]
+    + [dict(scheme="pi", model="hsm"), dict(scheme="cpi", model="hsm"),
+       dict(scheme="cpi", n_macro=5)]
+    # steps of 0.05, each with 3 CFL-limited Euler substeps
+    + [dict(scheme=s, order=o, dt_macro=0.05, t_end=0.1) for s in ("mmhme", "mmhsm")
+       for o in (1, 2)]
+    # every cell holds the left beam's state: the span is empty throughout
+    + [dict(scheme=s, level=True) for s in ("mmhme", "mmhsm", "pi", "cpi")])
+
+
+@pytest.mark.parametrize("case", _SEARCH_CASES,
+                         ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+def test_search_after_the_hand_back_finds_what_a_whole_grid_search_finds(case, monkeypatch):
+    # after each hand-back the runner searches only the last carried span
+    # (mm: the Euler buffer's): every pair of neighbours that holds a cell a
+    # transport of the step wrote lies inside it, and the rest of the step
+    # maps each cell alone. So the search must find the whole-grid span, once
+    # per macro step; the single-model schemes never search after load
+    kw = dict(case)
+    level = kw.pop("level", False)
+    cfg = TwoBeamConfig(**{"n_cells": 200, "t_end": 0.02, **kw})
+    field0 = two_beam_initial(cfg)[0]
+    if level:
+        field0.data[:] = field0.data[0]
+    find, macro_step = MomentBuffer.find_span, schemes._Runner._macro_step
+    found, steps = [], []
+
+    def compared(buf, *window):
+        span = find(buf, *window)
+        if window:
+            found.append((span, find(buf)))
+        return span
+
+    def counted(self, *args):
+        steps.append(args)
+        return macro_step(self, *args)
+
+    monkeypatch.setattr(MomentBuffer, "find_span", compared)
+    monkeypatch.setattr(schemes._Runner, "_macro_step", counted)
+    run(field0, cfg)
+    assert [narrow for narrow, _ in found] == [whole for _, whole in found]
+    assert len(found) == len(steps) == (0 if cfg.scheme in ("micro", "micro-split", "euler")
+                                        else round(cfg.t_end / cfg.dt_macro))
+    assert all((lo < hi) != level for (lo, hi), _ in found)
+
+
+def _failing_run(case, order):
+    """Field and config of a run on 40 cells whose state check fails in its
+    first steps: a huge f_3 right of x = 0.3 overflows in a micro step's
+    transport ("non-finite"); beams leaving x = 0.3 at speed 3 cool below
+    theta = 0 in a micro step ("rarefaction") or an Euler substep
+    ("euler-rarefaction"); the forward-Euler source at dt = 100 eps amplifies
+    the free moments of a level field, whose span is empty, until they
+    overflow ("unstable-source")."""
+    grid = Grid1D(-1.0, 1.0, 40)
+    model = make_model("euler" if case == "euler-rarefaction" else "hme", 6)
+    outward = np.where(grid.centers < 0.3, -3.0, 3.0)
+    if case == "non-finite":
+        data = model.equilibrium(np.ones(40), 0.0, 1.0)
+        data[grid.centers > 0.3, 3] = 1e306
+        kw = dict(scheme="micro", eps=1.0, t_end=0.05)
+    elif case == "unstable-source":
+        data = model.equilibrium(np.ones(40), 0.3, 1.0)
+        data[:, 3:] = 0.01
+        kw = dict(scheme="micro", eps=1e-5, dt_micro=1e-3, t_end=0.5)
+    else:
+        data = model.equilibrium(np.ones(40), outward, 0.1)
+        kw = dict(scheme="euler", dt_macro=0.05) if case == "euler-rarefaction" else dict(
+            scheme="micro", eps=1.0)
+        kw.update(t_end=0.2, cfl=1.0)
+    return Field(grid, data), SimConfig(n_moments=model.n_vars, order=order, **kw)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("case,message", [
+    ("non-finite", r"non-finite state in cell 25 at t=0\.00752048 \(transport\)"),
+    ("rarefaction", r"rho or theta <= 0 in cell 25 at t=0\.012342 \(transport\)"),
+    ("euler-rarefaction", r"rho or theta <= 0 in cell 25 at t=0\.0140935 \(transport\)"),
+    ("unstable-source", r"non-finite state in cell 0 at t=0\.156 \(source\)"),
+])
+def test_narrowed_state_checks_raise_what_the_full_checks_raise(case, message, order,
+                                                                 monkeypatch):
+    # after a transport whose collision keeps rows 0-2 and shrinks the rest
+    # (adaptive model, |factor| <= 1) or after an Euler substep, the check
+    # reads only the span the transport updated: every other cell holds
+    # checked bits or their shrunk free moments. A source with |factor| > 1
+    # can break any cell, so its check reads them all. Each must raise what a
+    # check of every cell raises
+    field0, cfg = _failing_run(case, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(StateError, match=rf"^{message}$") as narrowed:
+            run(field0, cfg)
+        check = MomentBuffer.check
+        monkeypatch.setattr(MomentBuffer, "check",
+                            lambda buf, t, phase, lo=0, hi=None: check(buf, t, phase))
+        with pytest.raises(StateError) as full:
+            run(field0, cfg)
+    assert str(narrowed.value) == str(full.value)
+
+
+@pytest.mark.parametrize("scheme,t", [("micro", "0.0015"), ("mmhsm", "0.00075")])
+def test_fixed_basis_micro_step_checks_every_cell(scheme, t, monkeypatch):
+    # the fixed-basis relaxation rewrites every row of every cell, so the
+    # check after it reads the whole grid: a NaN that the third relaxation
+    # leaves in cell 0, far outside the span around the beams' front, is
+    # named after that micro step
+    relax, calls = HSMModel.relax_moments, []
+
+    def nan_in_cell_0(self, ft, eps, factor):
+        relax(self, ft, eps, factor)
+        calls.append(factor)
+        if len(calls) == 3:
+            ft[4, 0] = math.nan
+
+    monkeypatch.setattr(HSMModel, "relax_moments", nan_in_cell_0)
+    f, _ = _two_beam_field(m=6, model="hsm")
+    with pytest.raises(StateError, match=rf"^non-finite state in cell 0 at t={t} "
+                       r"\(transport\)$"):
+        run(f, _cfg(scheme=scheme, model="hsm", n_moments=6))
+    assert abs(calls[-1]) <= 1.0
+
+
 def test_cfl_violation_in_the_loop_names_cell_and_time():
     f, _ = _two_beam_field(n_cells=100)
     with pytest.raises(StepError, match=r"CFL violation in cell \d+ at t=0 \(transport\)"):

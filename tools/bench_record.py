@@ -13,7 +13,7 @@ the pairs the change wins (reads better than the base; ties count for
 neither side).
 
 It then times the phases of the macro steps through `StepReport`: the
-wide-m40 cases of mmhme and cpi (500 cells, M = 40, order 2, eps = 1e-4,
+wide-m40 cases of mmhme, pi and cpi (500 cells, M = 40, order 2, eps = 1e-4,
 t_end = 0.008) run in a fresh interpreter per side with perfbench's pinned
 thread and allocator settings, PHASE_RUNS = 15 rounds that alternate base
 and change, one run of each case per side and round after a warm-up run. Per
@@ -151,7 +151,7 @@ def main(argv=None):
         complete = all(r["final"] for rs in runs.values() for r in rs)
         perf[w] = {"runs": runs, "summary": _compare(runs, better) if complete else None}
 
-    schemes = ("mmhme", "cpi")
+    schemes = ("mmhme", "pi", "cpi")
     phase_runs = {side: {s: [] for s in schemes} for side in sides}
     for _ in range(PHASE_RUNS):
         for side, checkout in sides.items():
