@@ -292,7 +292,13 @@ class EulerModel:
         check_rho_theta(wt[0], wt[2], "euler rho or theta")
         c = np.empty((3, 3, wt.shape[1]))
         _euler_columns(c, wt[0], wt[1], wt[2])
-        return lambda v, first=0: np.einsum("kmn,kn->mn", c[:, :, first:first + v.shape[1]], v)
+        n = wt.shape[1]
+
+        def apply(v, first=0):
+            cv = c if v.shape[1] == n else c[:, :, first:first + v.shape[1]]
+            return np.einsum("kmn,kn->mn", cv, v)
+
+        return apply
 
     def wave_speeds(self, w):
         w = np.atleast_2d(np.asarray(w, dtype=float))
