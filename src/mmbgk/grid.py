@@ -109,12 +109,6 @@ def check_rows(model, rows, first: int, t: float, phase: str):
         raise at_time(exc.shifted(first), t, phase) from exc
 
 
-# the largest M k for which an order-2 transport on k cells builds its
-# predicted cells' operator jointly with the interface means' (40 KiB of
-# them; see MomentBuffer)
-_JOINT_BUILD_VALUES = 5120
-
-
 class MomentBuffer:
     """The cells of one model on one grid, moment-major with ghosts, advanced
     in place.
@@ -151,23 +145,19 @@ class MomentBuffer:
     what a whole-grid search finds.
 
     The FORCE body builds the state-dependent operator once at order 1, on
-    the k + 1 interface means. At order 2 it builds it on the k + 2 cells of
-    the half-step predictor and, while M k <= _JOINT_BUILD_VALUES, once more
-    on one batch that holds the k + 1 means of the reconstructed faces
-    followed by the k predicted cells; a longer span builds the means and
-    the predicted cells apart. A column's coefficients come from its own
-    state alone and each product reads only its own block's columns
-    (flux_operator's apply(v, first)), so the joint build gives every bit of
-    a build per block. It saves a build's per-call cost, most of a build on
-    the short spans of the accelerated schemes, and pays per column for the
-    strided reads of the blocks and the larger arrays. A transport with it
-    on every span, timed against one that builds the blocks apart (perturbed
-    500-cell two-beam state, order 2, 2-core Xeon, perfbench's pinned
-    malloc, minimum of 60 interleaved rounds), is 2-5 % faster at M = 40
-    for k = 20 to 100 and 1-7 % slower for k = 160 to 496, and at M = 10
-    1-11 % faster for every k up to 496; so the bound sits at M k = 5120,
-    k = 128 at M = 40. Spans that long are wide-m40 micro's (most of its
-    steps carry over 150 cells); the accelerated schemes stay under 80.
+    the k + 1 interface means. At order 2 it builds it twice: on the k + 2
+    cells of the half-step predictor, and on one batch that holds the k + 1
+    means of the reconstructed faces followed by the k predicted cells. A
+    column's coefficients come from its own state alone and each product
+    reads only its own block's columns (flux_operator's apply(v, first)), so
+    the joint build gives every bit of a build per block. It saves a
+    build's per-call cost, most of a build on the short spans of the
+    accelerated schemes, and pays per column for the strided reads of the
+    blocks. On the long spans of wide-m40 micro (M = 40, 500 cells) the two
+    cancel: against a transport that builds the blocks apart on spans over
+    128 cells, perfbench wide-m40 (10 alternating pairs, 2-core Xeon) read
+    run_s.micro +1.0 %, faster in 4 of 10 pairs and inside the other
+    side's quartiles.
 
     Two simpler designs keep the bits but not the speed. Each was timed in
     one process against this one on the cases of the three perfbench
@@ -195,7 +185,7 @@ class MomentBuffer:
         self.w = self.we[:, g:g + n]
         self.span = (0, n)
         # flat: the jumps (M, n + 1), the cell bracket (M, n) and the batch of
-        # the state-dependent build, up to (M, 2n + 2) at order 2
+        # the state-dependent build, (M, g (n + 1)) at the widest
         self._delta = np.empty(m * (n + 1))
         self._bracket = np.empty(m * n)
         self._batch = np.empty(m * g * (n + 1))
@@ -279,32 +269,32 @@ class MomentBuffer:
         win = we[:, lo:hi + 2 * g]
         nu = dt / dx
         # the batch of the state-dependent build: the k + 1 interface means,
-        # and at order 2 on a short span the k predicted cells right after
-        # them (see the class docstring)
-        joint = g == 2 and m * k <= _JOINT_BUILD_VALUES
-        batch = self._batch[:m * (2 * k + 2 if joint else k + 1)].reshape(m, -1)
+        # at order 2 followed by the k predicted cells (see the class docstring)
+        batch = self._batch[:m * g * (k + 1)].reshape(m, g * (k + 1))
         if g == 1:
             wl, wr = win[:, :-1], win[:, 1:]
+            mean = states = batch
         else:
             # minmod slopes of cells win[:, 1:-1]
             d = np.diff(win, axis=1)
             s, a = np.sign(d), np.abs(d)
             sig = 0.5 * (s[:, :-1] + s[:, 1:]) * np.minimum(a[:, :-1], a[:, 1:])
-            # half-step predictor keeps the update second order in time; in a
-            # joint build its k + 2 cells lo - 1 .. hi go to the batch's
-            # columns k .. 2k + 1, so the k inside follow the means, and the
-            # last mean overwrites cell lo - 1 once wl has read it
+            # half-step predictor keeps the update second order in time; its
+            # k + 2 cells lo - 1 .. hi go to the batch's columns k .. 2k + 1,
+            # so the k inside follow the means, and the last mean overwrites
+            # cell lo - 1 once wl has read it
             pred = self._flux_operator(win[:, 1:-1], lo - 1, t, k + 2)
-            ev = np.subtract(win[:, 1:-1], (0.5 * nu) * pred(sig),
-                             out=batch[:, k:] if joint else None)
+            ev = np.subtract(win[:, 1:-1], (0.5 * nu) * pred(sig), out=batch[:, k:])
             half = 0.5 * sig
             wl = ev[:, :-1] + half[:, :-1]
             wr = ev[:, 1:] - half[:, 1:]
+            mean, states = batch[:, :k + 1], batch[:, :-1]
         delta = np.subtract(wr, wl, out=self._delta[:m * (k + 1)].reshape(m, k + 1))
-        mean = np.add(wl, wr, out=batch[:, :k + 1])
+        np.add(wl, wr, out=mean)
         mean *= 0.5
-        # a joint build serves both blocks; each product reads its own columns
-        ahat = self._flux_operator(batch[:, :2 * k + 1], lo, t, k + 1)
+        # at order 2 one build serves both blocks; each product reads its own
+        # columns
+        ahat = self._flux_operator(states, lo, t, k + 1)
         ad = ahat(delta)
         # Q delta = 1/2 (delta / nu + nu A_hat (A_hat delta)), then
         # D^+- = 1/2 (A_hat delta +- Q delta), each product rounded as written
@@ -319,8 +309,7 @@ class MomentBuffer:
         dminus *= 0.5
         bracket = np.add(dplus[:, :-1], dminus[:, 1:], out=self._bracket[:m * k].reshape(m, k))
         if g == 2:
-            cells = ahat if joint else self._flux_operator(ev[:, 1:-1], lo, t, k)
-            bracket += cells(sig[:, 1:-1], k + 1 if joint else 0)
+            bracket += ahat(sig[:, 1:-1], k + 1)
         bracket *= nu
         w[:, lo:hi] -= bracket
         self.span = (max(lo - g, 0), min(hi + g, n))

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from mmbgk import grid as grid_module
 from mmbgk.errors import ConfigError, StateError, StepError
 from mmbgk.grid import (
     Field,
@@ -392,17 +391,15 @@ def test_rejected_transport_state_names_its_grid_cell(order, jump, call, col, ce
     assert col < widths[-1]
 
 
-@pytest.mark.parametrize("joint", [True, False])
 @pytest.mark.parametrize("where", ["interior", "none"])
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("kind,m", [("hme", 10), ("euler", 3)])
 def test_transport_builds_its_state_dependent_operator_once_per_batch(kind, m, order, where,
-                                                                       joint, monkeypatch):
+                                                                       monkeypatch):
     # span (lo, lo + k): order 1 builds A(w) once, on the k + 1 interface
     # means; order 2 twice, on the k + 2 cells of the predictor and on one
-    # batch of the k + 1 face means and the k predicted cells, unless M k
-    # exceeds the joint-build bound, when it builds those two blocks apart.
-    # An empty span builds nothing
+    # batch of the k + 1 face means and the k predicted cells. An empty span
+    # builds nothing
     model, data = _level_pieces(kind, m, where)
     real, widths = type(model).flux_operator, []
 
@@ -411,23 +408,21 @@ def test_transport_builds_its_state_dependent_operator_once_per_batch(kind, m, o
         return real(self, wt)
 
     monkeypatch.setattr(type(model), "flux_operator", counted)
-    if not joint:
-        monkeypatch.setattr(grid_module, "_JOINT_BUILD_VALUES", 0)
     buf = MomentBuffer(Grid1D(-1.0, 1.0, _SPAN_CELLS), model, order)
     buf.load(data)
     lo, hi = buf.span
     buf.transport(0.5 * buf.dx / buf.max_speed(), 0.0)
     k = hi - lo
-    second = [2 * k + 1] if joint else [k + 1, k]
-    assert widths == ([] if k <= 0 else [k + 1] if order == 1 else [k + 2] + second)
+    assert widths == ([] if k <= 0 else [k + 1] if order == 1 else [k + 2, 2 * k + 1])
 
 
 @pytest.mark.parametrize("kind,m", [("hme", 4), ("hme", 10), ("hme", 40), ("euler", 3)])
 def test_joint_build_gives_the_bits_of_builds_apart(kind, m, monkeypatch):
     # on a smooth state every cell has a minmod slope, so each in-cell term
     # reads its own predicted cell's coefficients; three order-2 steps with
-    # the face means and the predicted cells built as one batch, and with the
-    # two built apart, must end in the same bits
+    # the face means and the predicted cells built as one batch, and with a
+    # model that builds the two blocks of that batch apart, must end in the
+    # same bits
     model = make_model(kind, m)
     grid = Grid1D(-1.0, 1.0, _SPAN_CELLS)
     x = grid.centers
@@ -436,9 +431,20 @@ def test_joint_build_gives_the_bits_of_builds_apart(kind, m, monkeypatch):
     if kind == "hme":
         data[:, 3:] = 0.01 * np.cos(x)[:, None] * np.arange(1.0, m - 2)
     dt = 0.5 * grid.dx / model.wave_speeds(data).max()
+    real = type(model).flux_operator
+
+    def apart(self, wt):
+        # the predictor's k + 2 cells, or the k + 1 means and the k cells
+        if wt.shape[1] % 2 == 0:
+            return real(self, wt)
+        j = (wt.shape[1] + 1) // 2
+        means, cells = real(self, wt[:, :j]), real(self, wt[:, j:])
+        return lambda v, first=0: means(v) if first < j else cells(v)
+
     bits = []
-    for bound in (10 ** 9, 0):
-        monkeypatch.setattr(grid_module, "_JOINT_BUILD_VALUES", bound)
+    for split in (False, True):
+        if split:
+            monkeypatch.setattr(type(model), "flux_operator", apart)
         buf = MomentBuffer(grid, model, 2)
         buf.load(data)
         for step in range(3):
@@ -447,7 +453,6 @@ def test_joint_build_gives_the_bits_of_builds_apart(kind, m, monkeypatch):
     np.testing.assert_array_equal(*bits)
 
 
-@pytest.mark.parametrize("joint", [True, False])
 @pytest.mark.parametrize("block,col,cell", [
     ("means", 0, 10),  # face mean j lies left of cell lo + j, lo = 10
     ("means", 10, 20),  # ... so the face right of cell 19 names cell 20
@@ -455,34 +460,28 @@ def test_joint_build_gives_the_bits_of_builds_apart(kind, m, monkeypatch):
     ("predicted", 9, 19),
 ])
 @pytest.mark.parametrize("kind,m", [("hme", 10), ("euler", 3)])
-def test_rejected_face_or_predicted_state_names_its_cell(kind, m, block, col, cell, joint,
+def test_rejected_face_or_predicted_state_names_its_cell(kind, m, block, col, cell,
                                                          monkeypatch):
     # the model's own check rejects a theta <= 0 in column col of the face
-    # means or of the predicted cells, built as one batch (means first) or
-    # apart, and the error names that block's grid cell, the start time and
-    # the phase
+    # means or of the predicted cells, built as one batch (means first), and
+    # the error names that block's grid cell, the start time and the phase
     model, data = _level_pieces(kind, m, "interior")
     real, builds = type(model).flux_operator, []
-    # the build (0: the predictor's) and the column that holds the state
-    if joint:
-        build, offset = 1, 11 if block == "predicted" else 0
-    else:
-        build, offset = 2 if block == "predicted" else 1, 0
+    # the column of the second build (the first is the predictor's)
+    offset = 11 if block == "predicted" else 0
 
     def cold(self, wt):
         builds.append(wt.shape[1])
-        if len(builds) == build + 1:
+        if len(builds) == 2:
             wt = wt.copy()
             wt[2, offset + col] = -1.0
         return real(self, wt)
 
     monkeypatch.setattr(type(model), "flux_operator", cold)
-    if not joint:
-        monkeypatch.setattr(grid_module, "_JOINT_BUILD_VALUES", 0)
     buf = MomentBuffer(Grid1D(-1.0, 1.0, _SPAN_CELLS), model, 2)
     buf.load(data)
     assert buf.span == (10, 20)
     with pytest.raises(StateError, match=rf"^{kind} rho or theta <= 0 in cell {cell} "
                        r"at t=0\.5 \(transport\)$"):
         buf.transport(0.5 * buf.dx / buf.max_speed(), 0.5)
-    assert builds == ([12, 21] if joint else [12, 11, 10][:build + 1])
+    assert builds == [12, 21]

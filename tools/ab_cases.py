@@ -5,12 +5,14 @@ Usage: python3 tools/ab_cases.py SRC_A SRC_B --workload W --rounds N
 SRC_A and SRC_B are checkout roots (each holding src/mmbgk). Both packages
 load into this one interpreter under the names mmbgk_a and mmbgk_b, so the
 two sides share the process, its allocator and its CPU state. The cases
-mirror perfbench/bench_cases.py: beams-m10 runs each copy's CLI `two-beam`
-command with CSV snapshots into a temporary directory, stiff-eps and
-wide-m40 call each copy's `run_with_reports` on its own initial field. Each
-case first runs once per side untimed; a case that raises on either side is
-reported and not timed, and a case whose final states differ in any bit
-is flagged. Then N rounds run every case once per side back to back, A
+are perfbench's own, from perfbench/bench_cases.py's build_cases (which
+imports this checkout's src/mmbgk for their configs alone): a CLI case
+runs each copy's `two-beam` command line with CSV snapshots into a
+temporary directory per side, a library case calls each copy's
+`run_with_reports` on an initial field that copy builds from the case's
+config. Each case first runs once per side untimed; a case that raises on
+either side is reported and not timed, and a case whose final states
+differ in any bit is flagged. Then N rounds run every case once per side back to back, A
 first in even rounds and B first in odd ones. The thread and allocator
 settings are perfbench's, pinned by restarting the interpreter.
 
@@ -24,7 +26,7 @@ import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 from run import PINNED_ENV  # noqa: E402
 
 if __name__ == "__main__" and any(os.environ.get(k) != v for k, v in PINNED_ENV.items()):
@@ -33,6 +35,7 @@ if __name__ == "__main__" and any(os.environ.get(k) != v for k, v in PINNED_ENV.
     os.execv(sys.executable, [sys.executable, os.path.abspath(__file__)] + sys.argv[1:])
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import importlib  # noqa: E402
 import importlib.util  # noqa: E402
 import io  # noqa: E402
@@ -43,8 +46,7 @@ from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-SCHEMES = ("micro", "micro-split", "mmhme", "mmhsm", "pi", "cpi", "euler")
-WORKLOADS = ("beams-m10", "stiff-eps", "wide-m40")
+import bench_cases  # noqa: E402
 
 
 def load_package(checkout, name):
@@ -66,37 +68,22 @@ def package_errors(pkg):
                  if isinstance(v, type) and issubclass(v, Exception))
 
 
-def case_specs(workload):
-    """(key, TwoBeamConfig keywords) of perfbench's cases of the workload."""
-    if workload == "beams-m10":
-        return [(s, dict(scheme=s, t_end=0.1, n_snapshots=4)) for s in SCHEMES]
-    if workload == "stiff-eps":
-        runs = [(s, e, {"t_end": 0.02}) for e in (1e-3, 1e-4, 1e-5) for s in SCHEMES]
-    else:
-        wide = {"t_end": 0.008, "n_moments": 40, "n_cells": 500, "order": 2}
-        runs = [(s, 1e-4, wide) for s in SCHEMES]
-    # micro resolves eps at dt_micro = eps/2, as in perfbench
-    return [(f"{s}@{e:g}", dict(kw, scheme=s, eps=e, dt_micro=e / 2.0 if s == "micro" else None))
-            for s, e, kw in runs]
-
-
-def make_runner(pkg, workload, kw, out_dir):
-    """A no-argument call that runs the case once on pkg and returns the
-    bytes of its final state (the last CSV for the CLI)."""
-    cfg = pkg.experiments.TwoBeamConfig(**kw)
-    if workload == "beams-m10":
-        base = os.path.join(out_dir, f"{kw['scheme']}.csv")
-        argv = ["two-beam", "--scheme", kw["scheme"], "--t-end", repr(cfg.t_end),
-                "--snapshots", str(cfg.n_snapshots), "--out", base]
+def make_runner(pkg, case):
+    """A no-argument call that runs perfbench's case once on pkg and returns
+    the bytes of its final state (the last CSV for a CLI case)."""
+    if case.argv is not None:
+        base = case.argv[case.argv.index("--out") + 1]
 
         def run_cli():
             with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                rc = pkg.cli.parse_and_dispatch(argv)
+                rc = pkg.cli.parse_and_dispatch(case.argv)
             if rc != 0:
                 raise RuntimeError(f"exit code {rc}")
-            with open(pkg.cli.snapshot_path(base, cfg.n_snapshots), "rb") as fh:
+            with open(pkg.cli.snapshot_path(base, case.cfg.n_snapshots), "rb") as fh:
                 return fh.read()
         return run_cli
+    cfg = pkg.experiments.TwoBeamConfig(**{f.name: getattr(case.cfg, f.name)
+                                          for f in dataclasses.fields(case.cfg)})
     field0 = pkg.experiments.two_beam_initial(cfg)[0]
     return lambda: pkg.schemes.run_with_reports(field0, cfg)[0][-1].data.tobytes()
 
@@ -105,18 +92,19 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("src_a")
     p.add_argument("src_b")
-    p.add_argument("--workload", required=True, choices=WORKLOADS)
+    p.add_argument("--workload", required=True, choices=bench_cases.WORKLOADS)
     p.add_argument("--rounds", type=int, default=15)
     args = p.parse_args(argv)
     pkgs = {"a": load_package(args.src_a, "mmbgk_a"), "b": load_package(args.src_b, "mmbgk_b")}
     with tempfile.TemporaryDirectory() as tmp:
-        runners, bad = {}, []
-        for key, kw in case_specs(args.workload):
-            sides, outs = {}, {}
+        runners, bad, cases = {}, [], {}
+        for side in pkgs:
+            os.makedirs(os.path.join(tmp, side))
+            cases[side] = bench_cases.build_cases(args.workload, os.path.join(tmp, side))
+        for i, case in enumerate(cases["a"]):
+            key, sides, outs = case.key, {}, {}
             for side, pkg in pkgs.items():
-                out_dir = os.path.join(tmp, side)
-                os.makedirs(out_dir, exist_ok=True)
-                sides[side] = make_runner(pkg, args.workload, kw, out_dir)
+                sides[side] = make_runner(pkg, cases[side][i])
                 try:
                     outs[side] = sides[side]()
                 except (RuntimeError, *package_errors(pkg)) as exc:
